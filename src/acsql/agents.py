@@ -1,4 +1,4 @@
-"""Actors and critics: prompt construction, reply parsing, and test doubles.
+"""Actors and critics: prompt construction, reply parsing, and the critic modes.
 
 The actor prompt puts the schema DDL first and then a one-line
 instruction with the question; the critic prompt reuses the schema and
@@ -14,7 +14,7 @@ import re
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Protocol
 
 from .llm_client import ChatMessage, EndpointConfig, TransportError, complete
 from .sqlexec import QueryFailure, run_query
@@ -206,45 +206,22 @@ class LLMJudge:
         return Verdict(accepted=parse_verdict(reply), source="llm", detail=reply)
 
 
-CRITIC_MODES = ("none", "llm_only", "execution_only", "both")
-
-
-def composite_critic(
-    candidate_sql: str,
-    *,
-    schema_ddl: str,
-    question: str,
-    mode: str,
-    database: str | Path | sqlite3.Connection | None = None,
-    llm_judge: LLMJudge | None = None,
-    timeout: float = 5.0,
-) -> list[Verdict]:
-    """Run the configured critics in order; returns every verdict issued.
-
-    With mode "both" the execution critic runs first and a reject
-    short-circuits (the LLM is not consulted); overall acceptance means
-    every verdict in the list accepted.
-    """
-    if mode == "execution_only":
-        if database is None:
-            raise ValueError("execution_only mode requires a database")
-        return [execution_critic(candidate_sql, database, timeout)]
-    if mode == "llm_only":
-        if llm_judge is None:
-            raise ValueError("llm_only mode requires an LLM judge")
-        return [llm_judge.judge(schema_ddl, question, candidate_sql)]
-    if mode == "both":
-        if database is None or llm_judge is None:
-            raise ValueError("both mode requires a database and an LLM judge")
-        first = execution_critic(candidate_sql, database, timeout)
-        if not first.accepted:
-            return [first]
-        return [first, llm_judge.judge(schema_ddl, question, candidate_sql)]
-    raise ValueError(f"no critic runs in mode {mode!r}")
+# Critic components each mode runs, in review order; "none" runs no critic.
+CRITIC_MODES: dict[str, tuple[str, ...]] = {
+    "none": (),
+    "llm_only": ("llm",),
+    "execution_only": ("execution",),
+    "both": ("execution", "llm"),
+}
 
 
 class CompositeCritic:
-    """Critic protocol wrapper around `composite_critic` for one task."""
+    """Runs one mode's critic components in table order for one task.
+
+    A reject short-circuits, so with mode "both" the LLM is not consulted
+    on SQL that failed to execute; overall acceptance means every
+    returned verdict accepted.
+    """
 
     def __init__(
         self,
@@ -253,27 +230,33 @@ class CompositeCritic:
         llm_judge: LLMJudge | None = None,
         timeout: float = 5.0,
     ):
-        if mode not in ("llm_only", "execution_only", "both"):
-            raise ValueError(f"unsupported critic mode {mode!r}")
-        self.mode = mode
+        components = CRITIC_MODES.get(mode)
+        if not components:
+            raise ValueError(f"no critic runs in mode {mode!r}")
+        if "execution" in components and database is None:
+            raise ValueError(f"{mode} mode requires a database")
+        if "llm" in components and llm_judge is None:
+            raise ValueError(f"{mode} mode requires an LLM judge")
+        self.components = components
         self.database = database
         self.llm_judge = llm_judge
         self.timeout = timeout
 
     def review(self, candidate_sql: str, *, schema_ddl: str, question: str) -> list[Verdict]:
-        return composite_critic(
-            candidate_sql,
-            schema_ddl=schema_ddl,
-            question=question,
-            mode=self.mode,
-            database=self.database,
-            llm_judge=self.llm_judge,
-            timeout=self.timeout,
-        )
+        verdicts = []
+        for component in self.components:
+            if component == "execution":
+                verdict = execution_critic(candidate_sql, self.database, self.timeout)
+            else:
+                verdict = self.llm_judge.judge(schema_ddl, question, candidate_sql)
+            verdicts.append(verdict)
+            if not verdict.accepted:
+                break
+        return verdicts
 
 
 # ---------------------------------------------------------------------------
-# LLM actor and test doubles
+# Actors
 # ---------------------------------------------------------------------------
 
 
@@ -323,40 +306,3 @@ class StochasticCritic:
         else:
             accepted = draw < self.q
         return [Verdict(accepted=accepted, source="stochastic")]
-
-
-class ScriptedActor:
-    """Replays fixed raw outputs in order; records every prompt it received."""
-
-    def __init__(self, replies: Sequence[str], cycle_last: bool = False):
-        self.replies = list(replies)
-        self.cycle_last = cycle_last
-        self.received: list[list[ChatMessage]] = []
-        self._next = 0
-
-    def respond(self, messages: list[ChatMessage]) -> str:
-        self.received.append(list(messages))
-        if self._next >= len(self.replies):
-            if self.cycle_last and self.replies:
-                return self.replies[-1]
-            raise RuntimeError("scripted actor has no more replies")
-        reply = self.replies[self._next]
-        self._next += 1
-        return reply
-
-
-class ScriptedCritic:
-    """Replays fixed accept/reject decisions in order."""
-
-    def __init__(self, decisions: Sequence[bool]):
-        self.decisions = list(decisions)
-        self.reviewed: list[str] = []
-        self._next = 0
-
-    def review(self, candidate_sql: str, *, schema_ddl: str, question: str) -> list[Verdict]:
-        self.reviewed.append(candidate_sql)
-        if self._next >= len(self.decisions):
-            raise RuntimeError("scripted critic has no more decisions")
-        decision = self.decisions[self._next]
-        self._next += 1
-        return [Verdict(accepted=decision, source="scripted")]

@@ -18,20 +18,26 @@ import random
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from . import evalkit, mc_sim, theory
-from .agents import BernoulliActor, CompositeCritic, LLMActor, LLMJudge, StochasticCritic
+from .agents import (
+    CRITIC_MODES,
+    BernoulliActor,
+    CompositeCritic,
+    LLMActor,
+    LLMJudge,
+    StochasticCritic,
+)
 from .engine import ACConfig, TraceFormatError, read_traces
 from .llm_client import EndpointConfig, TransportError
-from .spider_data import DatasetFormatError, database_path, load_dataset
+from .spider_data import DatasetFormatError, LoadedDataset, database_path, load_dataset
 from .sqlexec import DatabaseUnavailable
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_TRANSPORT = 4  # also used when a batch run completes with zero successes
-
-CRITIC_MODE_CHOICES = ("none", "llm_only", "execution_only", "both")
 
 
 @dataclass
@@ -50,12 +56,11 @@ class RunConfig:
     actor: dict = field(default_factory=dict)
     critic: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
-        for name in ("tasks", "tables", "db_dir", "out"):
+    def validate(self, modes: Sequence[str]) -> None:
+        """Check the settings needed to run each of the given critic modes."""
+        for name in ("tasks", "tables", "db_dir"):
             if not getattr(self, name):
                 raise UsageError(f"missing required setting: {name}")
-        if self.mode not in CRITIC_MODE_CHOICES:
-            raise UsageError(f"invalid mode {self.mode!r}")
         if self.max_iterations < 1:
             raise UsageError("max-iterations must be >= 1")
         actor_kind = self.actor.get("kind", "llm")
@@ -63,12 +68,16 @@ class RunConfig:
             raise UsageError("actor endpoint required (--actor-base-url or config)")
         if actor_kind == "bernoulli" and self.seed is None:
             raise UsageError("--seed is required with a bernoulli actor")
-        if self.mode in ("llm_only", "both"):
-            critic_kind = self.critic.get("kind", "llm")
+        critic_kind = self.critic.get("kind", "llm")
+        for mode in modes:
+            if mode not in CRITIC_MODES:
+                raise UsageError(f"invalid mode {mode!r}")
+            if "llm" not in CRITIC_MODES[mode]:
+                continue
             if critic_kind == "llm" and not (
                 self.critic.get("base_url") or self.actor.get("base_url")
             ):
-                raise UsageError(f"mode {self.mode!r} requires an LLM critic endpoint")
+                raise UsageError(f"mode {mode!r} requires an LLM critic endpoint")
             if critic_kind == "stochastic" and self.seed is None:
                 raise UsageError("--seed is required with a stochastic critic")
 
@@ -95,8 +104,8 @@ def _stable_rng(seed: int, task_id: str, role: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _build_factories(config: RunConfig):
-    """Actor/critic factories for one run; one pair of agents per task."""
+def _build_factories(config: RunConfig, mode: str):
+    """Actor/critic factories for one critic mode; one pair of agents per task."""
     actor_settings = dict(config.actor)
     actor_kind = actor_settings.get("kind", "llm")
     if actor_kind == "llm":
@@ -119,9 +128,14 @@ def _build_factories(config: RunConfig):
 
     critic_settings = dict(config.critic)
     critic_kind = critic_settings.get("kind", "llm")
+    components = CRITIC_MODES[mode]
+    llm_judge = None
+    if critic_kind == "llm" and "llm" in components:
+        judge_settings = critic_settings if critic_settings.get("base_url") else actor_settings
+        llm_judge = LLMJudge(_endpoint_from(judge_settings, default_temperature=0.0))
 
     def critic_factory(task):
-        if config.mode == "none":
+        if not components:
             return None
         if critic_kind == "stochastic":
             return StochasticCritic(
@@ -129,15 +143,11 @@ def _build_factories(config: RunConfig):
                 float(critic_settings["s"]),
                 _stable_rng(config.seed, task.task_id, "critic"),
             )
-        llm_judge = None
-        if config.mode in ("llm_only", "both"):
-            judge_settings = critic_settings if critic_settings.get("base_url") else actor_settings
-            llm_judge = LLMJudge(_endpoint_from(judge_settings, default_temperature=0.0))
         database = None
-        if config.mode in ("execution_only", "both"):
+        if "execution" in components:
             database = database_path(config.db_dir, task.db_id)
         return CompositeCritic(
-            config.mode, database=database, llm_judge=llm_judge, timeout=config.exec_timeout
+            mode, database=database, llm_judge=llm_judge, timeout=config.exec_timeout
         )
 
     return actor_factory, critic_factory
@@ -218,75 +228,71 @@ def _load_run_config(args) -> RunConfig:
     return config
 
 
-def _run_modes(config: RunConfig, modes: list[str], out_dir: Path | None):
+def _run_mode(
+    config: RunConfig, dataset: LoadedDataset, mode: str, out_path: str | Path
+) -> evalkit.RunSummary:
+    """Run one critic mode over the dataset; failed task ids go to stderr."""
+    actor_factory, critic_factory = _build_factories(config, mode)
+    summary = evalkit.run_tasks(
+        dataset.tasks,
+        dataset.schemas,
+        actor_factory,
+        critic_factory,
+        ACConfig(max_iterations=config.max_iterations, critic_mode=mode),
+        out_path,
+        concurrency=config.concurrency,
+    )
+    for task_id, reason in summary.failed:
+        print(f"  [{mode}] {task_id}: {reason}", file=sys.stderr)
+    return summary
+
+
+def _exit_status(summaries: list[evalkit.RunSummary]) -> int:
+    # a mode where nothing succeeded is almost certainly an endpoint problem
+    if any(s.failed and s.written == 0 for s in summaries):
+        return EXIT_TRANSPORT
+    return EXIT_OK
+
+
+def _load_run_dataset(config: RunConfig) -> LoadedDataset:
     dataset = load_dataset(config.tasks, config.tables, config.db_dir)
     if dataset.unloadable:
         print(dataset.load_report(), file=sys.stderr)
-    actor_factory, critic_factory = _build_factories(config)
-
-    if out_dir is None:  # single-mode run
-        run_config = ACConfig(max_iterations=config.max_iterations, critic_mode=config.mode)
-        summary = evalkit.run_tasks(
-            dataset.tasks,
-            dataset.schemas,
-            actor_factory,
-            critic_factory,
-            run_config,
-            config.out,
-            concurrency=config.concurrency,
-        )
-        print(
-            f"traces written: {summary.written}, resumed: {summary.resumed}, "
-            f"failed: {len(summary.failed)}"
-        )
-        for task_id, reason in summary.failed:
-            print(f"  {task_id}: {reason}", file=sys.stderr)
-        if summary.failed and summary.written == 0:
-            # nothing succeeded: almost certainly an endpoint problem
-            return EXIT_TRANSPORT
-        return EXIT_OK
-
-    def critic_for_mode(mode, task):
-        mode_config = RunConfig(**{**config.__dict__, "mode": mode})
-        _, factory = _build_factories(mode_config)
-        return factory(task)
-
-    reports = evalkit.run_ablation(
-        dataset.tasks,
-        dataset.schemas,
-        config.db_dir,
-        actor_factory,
-        critic_for_mode,
-        modes=modes,
-        max_iterations=config.max_iterations,
-        out_dir=out_dir,
-        dataset_name=Path(config.tasks).stem,
-        concurrency=config.concurrency,
-    )
-    print(evalkit.format_reports(reports))
-    print(json.dumps([r.to_json_dict() for r in reports], indent=2))
-    return EXIT_OK
+    return dataset
 
 
 def _cmd_eval(args) -> int:
     if args.eval_cmd == "run":
         config = _load_run_config(args)
-        config.validate()
-        return _run_modes(config, [config.mode], out_dir=None)
+        if not config.out:
+            raise UsageError("missing required setting: out")
+        config.validate([config.mode])
+        dataset = _load_run_dataset(config)
+        summary = _run_mode(config, dataset, config.mode, config.out)
+        print(
+            f"traces written: {summary.written}, resumed: {summary.resumed}, "
+            f"failed: {len(summary.failed)}"
+        )
+        return _exit_status([summary])
 
     if args.eval_cmd == "ablation":
         config = _load_run_config(args)
         modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-        for mode in modes:
-            if mode not in CRITIC_MODE_CHOICES:
-                raise UsageError(f"invalid mode {mode!r} in --modes")
         if not modes:
             raise UsageError("--modes must name at least one mode")
-        config.out = str(Path(args.out_dir) / "traces.jsonl")  # satisfies validate()
-        for mode in modes:
-            config.mode = mode
-            config.validate()
-        return _run_modes(config, modes, out_dir=Path(args.out_dir))
+        config.validate(modes)
+        dataset = _load_run_dataset(config)
+        summaries = []
+        reports = evalkit.run_ablation(
+            lambda mode, out_path: summaries.append(_run_mode(config, dataset, mode, out_path)),
+            modes,
+            args.out_dir,
+            config.db_dir,
+            dataset_name=Path(config.tasks).stem,
+        )
+        print(evalkit.format_reports(reports))
+        print(json.dumps([r.to_json_dict() for r in reports], indent=2))
+        return _exit_status(summaries)
 
     if args.eval_cmd == "report":
         traces = read_traces(args.traces, strict=args.strict)
@@ -394,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--critic-base-url", dest="critic_base_url")
         sp.add_argument("--critic-model", dest="critic_model")
         sp.add_argument("--critic-api-key-env", dest="critic_api_key_env")
-    p_run.add_argument("--mode", choices=CRITIC_MODE_CHOICES)
+    p_run.add_argument("--mode", choices=CRITIC_MODES)
     p_run.add_argument("--out")
-    p_ablation.add_argument("--modes", default="none,llm_only,execution_only,both")
+    p_ablation.add_argument("--modes", default=",".join(CRITIC_MODES))
     p_ablation.add_argument("--out-dir", dest="out_dir", required=True)
 
     p_report = eval_sub.add_parser("report", help="score a trace log")

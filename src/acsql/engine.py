@@ -52,7 +52,7 @@ class ACConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
         if self.critic_mode not in CRITIC_MODES:
             raise ValueError(
-                f"critic_mode must be one of {CRITIC_MODES}, got {self.critic_mode!r}"
+                f"critic_mode must be one of {tuple(CRITIC_MODES)}, got {self.critic_mode!r}"
             )
 
 

@@ -10,7 +10,7 @@ match within 1e-6 relative tolerance.
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -361,18 +361,20 @@ def run_tasks(
     config: ACConfig,
     out_path: str | Path,
     concurrency: int = 4,
-    resume: bool = True,
 ) -> RunSummary:
     """Run the loop over tasks, appending traces as JSON Lines.
 
     Tasks whose task_id already appears in out_path are skipped so an
-    interrupted run can be re-issued with the same command. Actor or
-    database failures are recorded per task and do not abort the batch.
+    interrupted run can be re-issued with the same command; a last line
+    cut short by a crash is dropped first, so its task runs again and
+    the next trace starts on a fresh line. Actor or database failures
+    are recorded per task and do not abort the batch.
     """
     out_path = Path(out_path)
     summary = RunSummary()
     done: set[str] = set()
-    if resume and out_path.exists():
+    if out_path.exists():
+        _drop_partial_last_line(out_path)
         done = {t.task.task_id for t in read_traces(out_path)}
     pending = [t for t in tasks if t.task_id not in done]
     summary.resumed = len(tasks) - len(pending)
@@ -384,8 +386,7 @@ def run_tasks(
         critic = None if config.critic_mode == "none" else critic_factory(task)
         return run_ac_loop(actor_factory(task), critic, task, config, ddl)
 
-    mode = "a" if (resume and out_path.exists()) else "w"
-    with open(out_path, mode, encoding="utf-8") as out:
+    with open(out_path, "a", encoding="utf-8") as out:
         with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
             futures = {pool.submit(run_one, task): task for task in pending}
             for future in as_completed(futures):
@@ -402,58 +403,36 @@ def run_tasks(
     return summary
 
 
-def run_ablation(
-    tasks: Sequence[SpiderTask],
-    schemas: SchemaIndex,
-    db_dir: str | Path,
-    actor_factory: ActorFactory,
-    critic_factory_for_mode: Callable[[str, SpiderTask], Critic | None],
-    modes: Sequence[str],
-    max_iterations: int,
-    out_dir: str | Path,
-    dataset_name: str = "",
-    concurrency: int = 4,
-    score_timeout: float = 30.0,
-) -> list[EvalReport]:
-    """Run one pass per critic mode over the same tasks and score each.
+def _drop_partial_last_line(path: Path) -> None:
+    with open(path, "rb+") as f:
+        f.truncate(f.read().rfind(b"\n") + 1)
 
-    Per-mode traces land in <out_dir>/traces_<mode>.jsonl. When "none"
-    is among the modes, its EX becomes the baseline for the other rows.
-    Report order follows the requested mode order.
+
+def run_ablation(
+    run_mode: Callable[[str, Path], object],
+    modes: Sequence[str],
+    out_dir: str | Path,
+    db_dir: str | Path,
+    dataset_name: str = "",
+) -> list[EvalReport]:
+    """Run and score one pass per critic mode.
+
+    run_mode(mode, trace_path) writes the mode's traces, which land in
+    <out_dir>/traces_<mode>.jsonl. When "none" is among the modes, its
+    EX becomes the baseline for the other rows. Report order follows the
+    requested mode order.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ex_by_mode: dict[str, float] = {}
-    raw: list[tuple[str, EvalReport]] = []
+    reports = []
     for mode in modes:
         out_path = out_dir / f"traces_{mode}.jsonl"
-        config = ACConfig(max_iterations=max_iterations, critic_mode=mode)
-        run_tasks(
-            tasks,
-            schemas,
-            actor_factory,
-            lambda task, _mode=mode: critic_factory_for_mode(_mode, task),
-            config,
-            out_path,
-            concurrency=concurrency,
-        )
-        report = evaluate_run(
-            read_traces(out_path), db_dir, dataset_name=dataset_name, timeout=score_timeout
-        )
-        ex_by_mode[mode] = report.ex
-        raw.append((mode, report))
-
-    baseline = ex_by_mode.get("none")
-    reports = []
-    for mode, report in raw:
-        if baseline is not None and mode != "none":
-            report = EvalReport(
-                dataset_name=report.dataset_name,
-                mode=report.mode,
-                n_tasks=report.n_tasks,
-                ex=report.ex,
-                n_excluded=report.n_excluded,
-                baseline_ex=baseline,
-            )
-        reports.append(report)
-    return reports
+        run_mode(mode, out_path)
+        reports.append(evaluate_run(read_traces(out_path), db_dir, dataset_name=dataset_name))
+    if "none" not in modes:
+        return reports
+    baseline = reports[modes.index("none")].ex
+    return [
+        r if mode == "none" else replace(r, baseline_ex=baseline)
+        for mode, r in zip(modes, reports)
+    ]

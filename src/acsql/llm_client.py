@@ -9,7 +9,6 @@ persisted.
 
 import logging
 import os
-import threading
 import time
 from dataclasses import dataclass
 
@@ -68,17 +67,6 @@ class EndpointConfig:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
-# Optional global cap on in-flight requests, for rate-limit friendliness
-# when many tasks run concurrently.
-_request_gate: threading.Semaphore | None = None
-
-
-def set_concurrency_cap(limit: int | None) -> None:
-    """Cap concurrent HTTP requests across all threads (None = unlimited)."""
-    global _request_gate
-    _request_gate = None if limit is None else threading.Semaphore(limit)
-
-
 def _backoff_delay(config: EndpointConfig, attempt: int) -> float:
     schedule = config.retry_backoff or (1.0,)
     return schedule[min(attempt, len(schedule) - 1)]
@@ -125,15 +113,7 @@ def complete(config: EndpointConfig, messages: list[ChatMessage]) -> str:
         if attempt > 0:
             time.sleep(_backoff_delay(config, attempt - 1))
         try:
-            if _request_gate is not None:
-                with _request_gate:
-                    resp = requests.post(
-                        url, json=payload, headers=headers, timeout=config.timeout
-                    )
-            else:
-                resp = requests.post(
-                    url, json=payload, headers=headers, timeout=config.timeout
-                )
+            resp = requests.post(url, json=payload, headers=headers, timeout=config.timeout)
         except requests.RequestException as exc:
             last_error = exc
             logger.debug("completion attempt %d failed: %s", attempt + 1, exc)

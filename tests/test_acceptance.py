@@ -15,8 +15,6 @@ import pytest
 from acsql.agents import (
     CORRECT_SQL,
     BernoulliActor,
-    ScriptedActor,
-    ScriptedCritic,
     StochasticCritic,
 )
 from acsql.cli import main as cli_main
@@ -26,6 +24,7 @@ from acsql.mc_sim import SimulationConfig, simulate
 from acsql.spider_data import SpiderTask
 from acsql.theory import ACParams, contour_grid, enumerate_prob, expected_prob
 
+from doubles import ScriptedActor, ScriptedCritic
 from test_evalkit import SCORED_PAIRS
 from test_theory import REFERENCE_CELLS
 from stub_llm import StubLLMServer

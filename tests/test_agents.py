@@ -13,19 +13,17 @@ from acsql.agents import (
     WRONG_SQL,
     BernoulliActor,
     CompositeCritic,
-    ScriptedActor,
-    ScriptedCritic,
     StochasticCritic,
     Verdict,
     build_actor_prompt,
     build_critic_prompt,
     build_regeneration_prompt,
-    composite_critic,
     execution_critic,
     extract_sql,
     parse_verdict,
 )
 from acsql.sqlexec import DatabaseUnavailable
+from doubles import ScriptedActor, ScriptedCritic
 
 TONNAGE_QUESTION = (
     "What are the death and injury situations caused by the ship with tonnage 't ' ?"
@@ -250,13 +248,8 @@ class _FixedJudge:
 class TestCompositeCritic:
     def test_execution_reject_short_circuits(self, battle_db, battle_ddl):
         judge = _FixedJudge([True])
-        verdicts = composite_critic(
-            "SELECT nope FROM death",
-            schema_ddl=battle_ddl,
-            question="q?",
-            mode="both",
-            database=battle_db,
-            llm_judge=judge,
+        verdicts = CompositeCritic("both", database=battle_db, llm_judge=judge).review(
+            "SELECT nope FROM death", schema_ddl=battle_ddl, question="q?"
         )
         assert len(verdicts) == 1
         assert verdicts[0].source == "execution" and not verdicts[0].accepted
@@ -264,44 +257,26 @@ class TestCompositeCritic:
 
     def test_conjunction(self, battle_db, battle_ddl):
         judge = _FixedJudge([False])
-        verdicts = composite_critic(
-            "SELECT killed FROM death",
-            schema_ddl=battle_ddl,
-            question="q?",
-            mode="both",
-            database=battle_db,
-            llm_judge=judge,
+        verdicts = CompositeCritic("both", database=battle_db, llm_judge=judge).review(
+            "SELECT killed FROM death", schema_ddl=battle_ddl, question="q?"
         )
         assert [v.source for v in verdicts] == ["execution", "llm"]
         assert verdicts[0].accepted and not verdicts[1].accepted
 
     def test_both_accept(self, battle_db, battle_ddl):
         judge = _FixedJudge([True])
-        verdicts = composite_critic(
-            "SELECT killed FROM death",
-            schema_ddl=battle_ddl,
-            question="q?",
-            mode="both",
-            database=battle_db,
-            llm_judge=judge,
+        verdicts = CompositeCritic("both", database=battle_db, llm_judge=judge).review(
+            "SELECT killed FROM death", schema_ddl=battle_ddl, question="q?"
         )
         assert all(v.accepted for v in verdicts) and len(verdicts) == 2
 
     def test_single_critic_modes(self, battle_db, battle_ddl):
-        only_exec = composite_critic(
-            "SELECT killed FROM death",
-            schema_ddl=battle_ddl,
-            question="q?",
-            mode="execution_only",
-            database=battle_db,
+        only_exec = CompositeCritic("execution_only", database=battle_db).review(
+            "SELECT killed FROM death", schema_ddl=battle_ddl, question="q?"
         )
         assert [v.source for v in only_exec] == ["execution"]
-        only_llm = composite_critic(
-            "SELECT anything",
-            schema_ddl=battle_ddl,
-            question="q?",
-            mode="llm_only",
-            llm_judge=_FixedJudge([True]),
+        only_llm = CompositeCritic("llm_only", llm_judge=_FixedJudge([True])).review(
+            "SELECT anything", schema_ddl=battle_ddl, question="q?"
         )
         assert [v.source for v in only_llm] == ["llm"]
 
@@ -312,9 +287,9 @@ class TestCompositeCritic:
             if all(v.accepted for v in verdicts):
                 assert verdicts[0].source == "execution" and verdicts[0].accepted
 
-    def test_missing_components_rejected(self, battle_ddl):
+    def test_missing_components_rejected(self):
         with pytest.raises(ValueError):
-            composite_critic("SELECT 1", schema_ddl=battle_ddl, question="q", mode="both")
+            CompositeCritic("both")
         with pytest.raises(ValueError):
             CompositeCritic("none")
 

@@ -1,12 +1,14 @@
 """CLI tests: flag parsing, output contracts, exit codes, reproducibility."""
 
+import argparse
 import json
 
 import pytest
 
-from acsql.agents import CORRECT_SQL
-from acsql.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from acsql.agents import CORRECT_SQL, CRITIC_MODES, CompositeCritic
+from acsql.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, RunConfig, _build_factories, build_parser, main
 from acsql.engine import read_traces
+from acsql.spider_data import SpiderTask
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +216,17 @@ class TestEvalCommands:
         code, out, err = run_cli(capsys, "eval", "run", "--config", str(config_path))
         assert code == 4
         assert "failed: 4" in out
+        assert all(f"t0000{i}:" in err for i in range(4))
+
+        code, out, err = run_cli(
+            capsys,
+            "eval", "ablation",
+            "--config", str(config_path),
+            "--modes", "none",
+            "--out-dir", str(micro_dataset["root"] / "dead_ablation"),
+        )
+        assert code == 4
+        assert all(f"t0000{i}:" in err for i in range(4))
 
     def test_ablation_bad_mode_rejected(self, capsys, micro_dataset):
         config_path, _ = _bernoulli_config(micro_dataset, "x.jsonl")
@@ -225,3 +238,42 @@ class TestEvalCommands:
             "--out-dir", str(micro_dataset["root"] / "ablation"),
         )
         assert code == EXIT_USAGE
+
+
+def _subparser(parser, *names):
+    for name in names:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return parser
+
+
+@pytest.mark.parametrize("mode", list(CRITIC_MODES))
+def test_critic_mode_table_drives_cli(capsys, micro_dataset, mode):
+    run_parser = _subparser(build_parser(), "eval", "run")
+    mode_flag = next(a for a in run_parser._actions if a.dest == "mode")
+    assert tuple(mode_flag.choices) == tuple(CRITIC_MODES)
+
+    config_path, _ = _bernoulli_config(micro_dataset, "unused.jsonl")
+    code, out, _ = run_cli(
+        capsys,
+        "eval", "ablation",
+        "--config", str(config_path), "--seed", "1",
+        "--modes", mode,
+        "--out-dir", str(micro_dataset["root"] / "table"),
+    )
+    assert code == EXIT_OK
+    assert [r["mode"] for r in json.loads(out[out.index("\n[") + 1:])] == [mode]
+
+    config = RunConfig(
+        db_dir=micro_dataset["db_dir"], actor={"base_url": "http://127.0.0.1:9/v1"}
+    )
+    _, critic_factory = _build_factories(config, mode)
+    critic = critic_factory(SpiderTask("t00000", "battle_death", "q?", CORRECT_SQL))
+    components = CRITIC_MODES[mode]
+    if not components:
+        assert critic is None
+        return
+    assert isinstance(critic, CompositeCritic)
+    assert critic.components == components
+    assert (critic.database is not None) == ("execution" in components)
+    assert (critic.llm_judge is not None) == ("llm" in components)

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from acsql.agents import (
     CORRECT_SQL,
     BernoulliActor,
-    ScriptedActor,
-    ScriptedCritic,
     StochasticCritic,
     Verdict,
 )
@@ -29,6 +27,7 @@ from acsql.engine import (
 )
 from acsql.spider_data import SpiderTask
 from acsql.theory import ACParams, expected_prob
+from doubles import ScriptedActor, ScriptedCritic
 
 TONNAGE_QUESTION = (
     "What are the death and injury situations caused by the ship with tonnage 't ' ?"

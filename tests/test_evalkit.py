@@ -1,17 +1,24 @@
 """Tests for execution-accuracy scoring, reports, estimation, and batch runs."""
 
 import random
+import warnings
 
 import pytest
 
 from acsql.agents import (
     CORRECT_SQL,
     BernoulliActor,
-    ScriptedActor,
     StochasticCritic,
     Verdict,
 )
-from acsql.engine import ACConfig, ACTrace, IterationRecord, read_traces, run_ac_loop
+from acsql.engine import (
+    ACConfig,
+    ACTrace,
+    IterationRecord,
+    TraceWarning,
+    read_traces,
+    run_ac_loop,
+)
 from acsql.evalkit import (
     EvalReport,
     GoldExecutionError,
@@ -25,6 +32,7 @@ from acsql.evalkit import (
 )
 from acsql.spider_data import SpiderTask
 from conftest import _parsed_schemas
+from doubles import ScriptedActor
 
 # (predicted, gold, expected) fixtures; expectations hand-computed against
 # the seeded rows in conftest.BATTLE_ROWS by executing both queries by hand.
@@ -322,6 +330,27 @@ class TestRunTasks:
         ids = [t.task.task_id for t in read_traces(out)]
         assert sorted(ids) == ["t00000", "t00001", "t00002"]
 
+    def test_resume_after_crash_mid_line(self, spider_layout, tmp_path):
+        schemas = _parsed_schemas()
+        tasks = _micro_tasks() + [SpiderTask("t00003", "battle_death", "task D?", GOLD)]
+        out = tmp_path / "traces.jsonl"
+        config = ACConfig(critic_mode="none")
+
+        def actor_factory(task):
+            return ScriptedActor([CORRECT])
+
+        run_tasks(tasks[:2], schemas, actor_factory, lambda t: None, config, out, concurrency=1)
+        # a crash while writing the second trace leaves half a line behind
+        text = out.read_text(encoding="utf-8")
+        out.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1], encoding="utf-8")
+
+        summary = run_tasks(tasks, schemas, actor_factory, lambda t: None, config, out)
+        assert summary.resumed == 1 and summary.written == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TraceWarning)
+            ids = sorted(t.task.task_id for t in read_traces(out))
+        assert ids == ["t00000", "t00001", "t00002", "t00003"]
+
     def test_actor_failures_recorded_not_fatal(self, spider_layout, tmp_path):
         schemas = _parsed_schemas()
         tasks = _micro_tasks()
@@ -360,17 +389,23 @@ class TestRunAblation:
 
             return CompositeCritic(mode, database=database_path(db_dir, task.db_id))
 
+        def run_mode(mode, out_path):
+            return run_tasks(
+                tasks,
+                schemas,
+                actor_factory,
+                lambda task: critic_for_mode(mode, task),
+                ACConfig(max_iterations=2, critic_mode=mode),
+                out_path,
+                concurrency=1,
+            )
+
         reports = run_ablation(
-            tasks,
-            schemas,
-            db_dir,
-            actor_factory,
-            critic_for_mode,
+            run_mode,
             modes=["none", "execution_only"],
-            max_iterations=2,
             out_dir=tmp_path / "ablation",
+            db_dir=db_dir,
             dataset_name="micro",
-            concurrency=1,
         )
         # Hand-computed with z=2: baseline emits the first reply of each
         # script (only task C correct -> 1/3); the execution critic fixes
@@ -392,16 +427,19 @@ class TestRunAblation:
         def actor_factory(task):
             return ScriptedActor(_SCRIPTS[task.task_id], cycle_last=True)
 
+        def run_mode(mode, out_path):
+            return run_tasks(
+                tasks,
+                schemas,
+                actor_factory,
+                lambda task: None,
+                ACConfig(max_iterations=5, critic_mode=mode),
+                out_path,
+                concurrency=1,
+            )
+
         reports = run_ablation(
-            tasks,
-            schemas,
-            spider_layout["db_dir"],
-            actor_factory,
-            lambda mode, task: None,
-            modes=["none"],
-            max_iterations=5,
-            out_dir=tmp_path / "solo",
-            concurrency=1,
+            run_mode, modes=["none"], out_dir=tmp_path / "solo", db_dir=spider_layout["db_dir"]
         )
         assert len(reports) == 1
         assert reports[0].mode == "none"

@@ -1,9 +1,5 @@
 """Offline tests for the chat-completion client against a local stub."""
 
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from acsql.llm_client import (
@@ -13,7 +9,6 @@ from acsql.llm_client import (
     ResponseParseError,
     TransportError,
     complete,
-    set_concurrency_cap,
 )
 from stub_llm import StubLLMServer
 
@@ -128,32 +123,3 @@ def test_config_validation():
         EndpointConfig(base_url="http://x", model_name="m", temperature=-1)
     with pytest.raises(ValueError):
         EndpointConfig(base_url="http://x", model_name="m", max_tokens=0)
-
-
-def test_concurrency_cap_serializes_requests(stub):
-    in_flight = {"now": 0, "peak": 0}
-    gate = threading.Lock()
-
-    def handler(body):
-        with gate:
-            in_flight["now"] += 1
-            in_flight["peak"] = max(in_flight["peak"], in_flight["now"])
-        time.sleep(0.05)
-        with gate:
-            in_flight["now"] -= 1
-        return "ok"
-
-    stub.handler = handler
-    set_concurrency_cap(1)
-    try:
-        config = _config(stub)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [
-                pool.submit(complete, config, [ChatMessage("user", str(i))])
-                for i in range(4)
-            ]
-            assert all(f.result() == "ok" for f in futures)
-    finally:
-        set_concurrency_cap(None)
-    assert in_flight["peak"] == 1
-    assert len(stub.requests) == 4
