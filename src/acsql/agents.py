@@ -177,7 +177,8 @@ def execution_critic(
     """Accept iff the candidate executes without error on a read-only handle.
 
     An empty result set still accepts; syntax errors, unknown
-    tables/columns, write attempts (blocked by read-only mode), runtime
+    tables/columns, any statement but a query (writes, temp tables,
+    ATTACH and PRAGMA, refused by the handle from open_readonly), runtime
     errors, and timeouts all reject with the error text as evidence.
     Database-open failures propagate as DatabaseUnavailable.
     """

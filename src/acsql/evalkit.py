@@ -5,10 +5,19 @@ result set on the task database: compared as multisets unless the gold
 query orders its output at the top level, in which case row order
 matters. Text, integers and NULLs must match exactly; floating values
 match within 1e-6 relative tolerance.
+
+evaluate_run and estimate_pqs each score their traces in one pass:
+traces are taken grouped by db_id (EX does not depend on their order),
+one read-only connection is open at a time, each (db_id, gold) runs once
+and each (db_id, gold, sql) verdict is memoised. Nothing is kept after
+the call returns, and its connection is closed also when it raises.
+execution_accuracy scores one pair with the same comparison code.
 """
 
 import re
+import sqlite3
 import threading
+from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -17,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 from .agents import Actor, Critic
 from .engine import ACConfig, ACTrace, ActorError, read_traces, run_ac_loop, write_trace
 from .spider_data import SpiderTask, SchemaIndex, database_path, schema_to_ddl
-from .sqlexec import DatabaseUnavailable, QueryFailure, run_query
+from .sqlexec import DatabaseUnavailable, QueryFailure, open_readonly, run_query
 
 FLOAT_RTOL = 1e-6
 
@@ -99,6 +108,30 @@ def result_sets_match(
     )
 
 
+def _run_gold(conn: sqlite3.Connection, gold_sql: str, timeout: float) -> tuple[list[tuple], int]:
+    try:
+        return run_query(conn, gold_sql, timeout=timeout)
+    except QueryFailure as exc:
+        raise GoldExecutionError(f"gold SQL failed: {exc}") from exc
+
+
+def _prediction_matches(
+    conn: sqlite3.Connection,
+    predicted_sql: str,
+    gold_sql: str,
+    gold: tuple[list[tuple], int],
+    timeout: float,
+) -> bool:
+    try:
+        predicted_rows, predicted_cols = run_query(conn, predicted_sql, timeout=timeout)
+    except QueryFailure:
+        return False
+    gold_rows, gold_cols = gold
+    if predicted_cols != gold_cols:
+        return False
+    return result_sets_match(predicted_rows, gold_rows, has_top_level_order_by(gold_sql))
+
+
 def execution_accuracy(
     predicted_sql: str,
     gold_sql: str,
@@ -110,17 +143,9 @@ def execution_accuracy(
     A failing or timed-out prediction scores False; a failing gold query
     raises GoldExecutionError so the caller can exclude the task.
     """
-    try:
-        gold_rows, gold_cols = run_query(database, gold_sql, timeout=timeout)
-    except QueryFailure as exc:
-        raise GoldExecutionError(f"gold SQL failed: {exc}") from exc
-    try:
-        predicted_rows, predicted_cols = run_query(database, predicted_sql, timeout=timeout)
-    except QueryFailure:
-        return False
-    if predicted_cols != gold_cols:
-        return False
-    return result_sets_match(predicted_rows, gold_rows, has_top_level_order_by(gold_sql))
+    with closing(open_readonly(database)) as conn:
+        gold = _run_gold(conn, gold_sql, timeout)
+        return _prediction_matches(conn, predicted_sql, gold_sql, gold, timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -133,23 +158,23 @@ class EvalReport:
     dataset_name: str
     mode: str
     n_tasks: int
-    ex: float
+    ex: float | None  # None when no task was scored
     n_excluded: int = 0
     baseline_ex: float | None = None
 
     @property
-    def error_rate(self) -> float:
-        return 1.0 - self.ex
+    def error_rate(self) -> float | None:
+        return None if self.ex is None else 1.0 - self.ex
 
     @property
     def abs_improvement(self) -> float | None:
-        if self.baseline_ex is None:
+        if self.ex is None or self.baseline_ex is None:
             return None
         return self.ex - self.baseline_ex
 
     @property
     def rel_error_reduction(self) -> float | None:
-        if self.baseline_ex is None or self.baseline_ex >= 1.0:
+        if self.ex is None or self.baseline_ex is None or self.baseline_ex >= 1.0:
             return None
         return (self.ex - self.baseline_ex) / (1.0 - self.baseline_ex)
 
@@ -192,21 +217,62 @@ def format_reports(reports: Sequence[EvalReport]) -> str:
     return "\n".join(lines)
 
 
-class _CorrectnessCache:
-    """Memoized per-database execution scoring over one trace set."""
+class _ScoringPass:
+    """The scoring state of one evaluate_run or estimate_pqs call.
+
+    Keeps at most one connection open, to the database scored last, so
+    callers feed it traces grouped by db_id. Each (db_id, gold) runs once
+    and its result, or its failure message, is kept for the pass; each
+    (db_id, gold, sql) verdict is memoised. Nothing outlives the pass:
+    close() closes the connection.
+    """
 
     def __init__(self, db_dir: str | Path, timeout: float):
         self.db_dir = Path(db_dir)
         self.timeout = timeout
-        self._memo: dict[tuple[str, str, str], bool] = {}
+        self._db_id: str | None = None
+        self._conn: sqlite3.Connection | None = None
+        # a failing gold keeps its message, not the exception: re-raising
+        # one instance grows its traceback and keeps the pass's frames alive
+        self._golds: dict[tuple[str, str], tuple[list[tuple], int] | str] = {}
+        self._verdicts: dict[tuple[str, str, str], bool] = {}
+
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+        self._db_id, self._conn = None, None
+
+    def _connection(self, db_id: str) -> sqlite3.Connection:
+        if db_id != self._db_id:
+            self.close()
+            self._conn = open_readonly(database_path(self.db_dir, db_id))
+            self._db_id = db_id
+        return self._conn
+
+    def _gold(self, db_id: str, gold_sql: str) -> tuple[list[tuple], int]:
+        key = (db_id, gold_sql)
+        if key not in self._golds:
+            try:
+                self._golds[key] = _run_gold(self._connection(db_id), gold_sql, self.timeout)
+            except GoldExecutionError as exc:
+                self._golds[key] = str(exc)
+        gold = self._golds[key]
+        if isinstance(gold, str):
+            raise GoldExecutionError(gold)
+        return gold
 
     def score(self, sql: str, gold_sql: str, db_id: str) -> bool:
         key = (db_id, gold_sql, sql)
-        if key not in self._memo:
-            self._memo[key] = execution_accuracy(
-                sql, gold_sql, database_path(self.db_dir, db_id), timeout=self.timeout
+        if key not in self._verdicts:
+            gold = self._gold(db_id, gold_sql)
+            self._verdicts[key] = _prediction_matches(
+                self._connection(db_id), sql, gold_sql, gold, self.timeout
             )
-        return self._memo[key]
+        return self._verdicts[key]
+
+
+def _by_database(traces: Iterable[ACTrace]) -> list[ACTrace]:
+    return sorted(traces, key=lambda trace: trace.task.db_id)
 
 
 def evaluate_run(
@@ -219,30 +285,31 @@ def evaluate_run(
     """Score final SQL of every trace; order of traces does not matter.
 
     Tasks without gold SQL or whose gold fails to execute are excluded
-    from the denominator and counted in n_excluded.
+    from the denominator and counted in n_excluded; with no task scored,
+    EX is None.
     """
-    cache = _CorrectnessCache(db_dir, timeout)
     modes = set()
     scored = 0
     correct = 0
     excluded = 0
-    for trace in traces:
-        modes.add(trace.config.critic_mode)
-        if trace.task.gold_sql is None:
-            excluded += 1
-            continue
-        try:
-            ok = cache.score(trace.final_sql, trace.task.gold_sql, trace.task.db_id)
-        except (GoldExecutionError, DatabaseUnavailable):
-            excluded += 1
-            continue
-        scored += 1
-        correct += ok
+    with closing(_ScoringPass(db_dir, timeout)) as scoring:
+        for trace in _by_database(traces):
+            modes.add(trace.config.critic_mode)
+            if trace.task.gold_sql is None:
+                excluded += 1
+                continue
+            try:
+                ok = scoring.score(trace.final_sql, trace.task.gold_sql, trace.task.db_id)
+            except (GoldExecutionError, DatabaseUnavailable):
+                excluded += 1
+                continue
+            scored += 1
+            correct += ok
     return EvalReport(
         dataset_name=dataset_name,
         mode=modes.pop() if len(modes) == 1 else ("mixed" if modes else ""),
         n_tasks=scored,
-        ex=correct / scored if scored else 0.0,
+        ex=correct / scored if scored else None,
         n_excluded=excluded,
         baseline_ex=baseline_ex,
     )
@@ -291,7 +358,6 @@ def estimate_pqs(
     accuracy and reading the iteration's overall verdict. Estimates with
     empty denominators are reported as None, never as zero.
     """
-    cache = _CorrectnessCache(db_dir, timeout)
     counts = dict(
         first_pass_correct=0,
         first_pass_total=0,
@@ -301,30 +367,31 @@ def estimate_pqs(
         correct_rejected=0,
     )
     excluded = 0
-    for trace in traces:
-        if trace.task.gold_sql is None:
-            excluded += 1
-            continue
-        try:
-            per_iteration = [
-                cache.score(record.generated_sql, trace.task.gold_sql, trace.task.db_id)
-                for record in trace.iterations
-            ]
-        except (GoldExecutionError, DatabaseUnavailable):
-            excluded += 1
-            continue
-        counts["first_pass_total"] += 1
-        counts["first_pass_correct"] += per_iteration[0]
-        for record, is_correct in zip(trace.iterations, per_iteration):
-            if not record.verdicts:
+    with closing(_ScoringPass(db_dir, timeout)) as scoring:
+        for trace in _by_database(traces):
+            if trace.task.gold_sql is None:
+                excluded += 1
                 continue
-            accepted = record.overall_accepted
-            if is_correct:
-                counts["correct_checked"] += 1
-                counts["correct_rejected"] += not accepted
-            else:
-                counts["wrong_checked"] += 1
-                counts["wrong_accepted"] += accepted
+            try:
+                per_iteration = [
+                    scoring.score(record.generated_sql, trace.task.gold_sql, trace.task.db_id)
+                    for record in trace.iterations
+                ]
+            except (GoldExecutionError, DatabaseUnavailable):
+                excluded += 1
+                continue
+            counts["first_pass_total"] += 1
+            counts["first_pass_correct"] += per_iteration[0]
+            for record, is_correct in zip(trace.iterations, per_iteration):
+                if not record.verdicts:
+                    continue
+                accepted = record.overall_accepted
+                if is_correct:
+                    counts["correct_checked"] += 1
+                    counts["correct_rejected"] += not accepted
+                else:
+                    counts["wrong_checked"] += 1
+                    counts["wrong_accepted"] += accepted
 
     def ratio(num: int, den: int) -> float | None:
         return num / den if den else None
@@ -380,9 +447,15 @@ def run_tasks(
     summary.resumed = len(tasks) - len(pending)
 
     write_lock = threading.Lock()
+    ddls = {
+        db_id: schema_to_ddl(schemas, db_id)
+        for db_id in {t.db_id for t in pending}
+        if db_id in schemas
+    }
 
     def run_one(task: SpiderTask) -> ACTrace:
-        ddl = schema_to_ddl(schemas, task.db_id)
+        # an unknown db_id has no entry; schema_to_ddl raises the task's KeyError
+        ddl = ddls[task.db_id] if task.db_id in ddls else schema_to_ddl(schemas, task.db_id)
         critic = None if config.critic_mode == "none" else critic_factory(task)
         return run_ac_loop(actor_factory(task), critic, task, config, ddl)
 
@@ -418,9 +491,10 @@ def run_ablation(
     """Run and score one pass per critic mode.
 
     run_mode(mode, trace_path) writes the mode's traces, which land in
-    <out_dir>/traces_<mode>.jsonl. When "none" is among the modes, its
-    EX becomes the baseline for the other rows. Report order follows the
-    requested mode order.
+    <out_dir>/traces_<mode>.jsonl; each report is named after its mode.
+    When "none" is among the modes and scored a task, its EX becomes the
+    baseline for the other rows. Report order follows the requested mode
+    order.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -428,10 +502,11 @@ def run_ablation(
     for mode in modes:
         out_path = out_dir / f"traces_{mode}.jsonl"
         run_mode(mode, out_path)
-        reports.append(evaluate_run(read_traces(out_path), db_dir, dataset_name=dataset_name))
-    if "none" not in modes:
+        report = evaluate_run(read_traces(out_path), db_dir, dataset_name=dataset_name)
+        reports.append(replace(report, mode=mode))
+    baseline = reports[modes.index("none")].ex if "none" in modes else None
+    if baseline is None:
         return reports
-    baseline = reports[modes.index("none")].ex
     return [
         r if mode == "none" else replace(r, baseline_ex=baseline)
         for mode, r in zip(modes, reports)

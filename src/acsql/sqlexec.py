@@ -1,9 +1,15 @@
 """Read-only SQLite execution with a wall-clock cutoff.
 
-All candidate and gold SQL in this package runs through here: the
-connection is opened in read-only mode (so INSERT/UPDATE/... fail at the
-engine level) and a progress handler interrupts statements that outlive
-the timeout.
+All candidate and gold SQL in this package runs through here. A
+connection from open_readonly is opened in read-only mode (so
+INSERT/UPDATE/... fail at the engine level) and carries an authorizer
+that allows only reading: SELECT, reading a column, calling a function
+and recursive CTEs. Everything else is refused when the statement is
+prepared, including what read-only mode lets through because it changes
+only the connection: CREATE TEMP TABLE/VIEW, ATTACH and PRAGMA. So one
+handle is safe to reuse across untrusted statements; none can change
+what a later one sees. A progress handler interrupts statements that
+outlive the timeout, and the handle stays usable after an interrupt.
 """
 
 import sqlite3
@@ -23,7 +29,17 @@ class QueryFailure(Exception):
         self.timed_out = timed_out
 
 
+_ALLOWED_ACTIONS = frozenset(
+    (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
+)
+
+
+def _authorize(action: int, *_details) -> int:
+    return sqlite3.SQLITE_OK if action in _ALLOWED_ACTIONS else sqlite3.SQLITE_DENY
+
+
 def open_readonly(path: str | Path) -> sqlite3.Connection:
+    """Open a read-only handle that refuses every statement but a query."""
     p = Path(path)
     if not p.is_file():
         raise DatabaseUnavailable(f"database file not found: {p}")
@@ -31,6 +47,7 @@ def open_readonly(path: str | Path) -> sqlite3.Connection:
         conn = sqlite3.connect(f"file:{p}?mode=ro", uri=True)
         conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
         conn.execute("SELECT 1")
+        conn.set_authorizer(_authorize)
     except sqlite3.Error as exc:
         raise DatabaseUnavailable(f"cannot open {p} read-only: {exc}") from exc
     return conn

@@ -195,6 +195,10 @@ class TestExecutionCritic:
             "DELETE FROM death",
             "UPDATE ship SET tonnage = '0'",
             "DROP TABLE battle",
+            # read-only mode alone lets these change the connection
+            "CREATE TEMP TABLE item AS SELECT 99 AS x",
+            "ATTACH ':memory:' AS m",
+            "PRAGMA query_only=0",
         ):
             verdict = execution_critic(sql, battle_db)
             assert not verdict.accepted, sql

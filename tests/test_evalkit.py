@@ -1,7 +1,11 @@
 """Tests for execution-accuracy scoring, reports, estimation, and batch runs."""
 
+import itertools
 import random
+import shutil
+import sqlite3
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -19,9 +23,11 @@ from acsql.engine import (
     read_traces,
     run_ac_loop,
 )
+from acsql import evalkit
 from acsql.evalkit import (
     EvalReport,
     GoldExecutionError,
+    PQSCounts,
     estimate_pqs,
     evaluate_run,
     execution_accuracy,
@@ -30,7 +36,7 @@ from acsql.evalkit import (
     run_ablation,
     run_tasks,
 )
-from acsql.spider_data import SpiderTask
+from acsql.spider_data import SpiderTask, database_path
 from conftest import _parsed_schemas
 from doubles import ScriptedActor
 
@@ -289,6 +295,201 @@ class TestEstimatePqs:
         assert abs(estimate.s_hat - s) <= 3 * sigma(s, counts.correct_checked)
 
 
+def _add_database(db_dir, db_id):
+    """Copy the fixture database into db_dir under another db_id."""
+    source = database_path(db_dir, "battle_death")
+    (db_dir / db_id).mkdir()
+    shutil.copyfile(source, database_path(db_dir, db_id))
+
+
+def _reference_scores(traces, db_dir):
+    """EX, exclusions and (p, q, s) counts from one execution_accuracy call per pair."""
+    counts = dict.fromkeys(PQSCounts().__dict__, 0)
+    correct = scored = excluded = 0
+    for trace in traces:
+        task = trace.task
+        try:
+            if task.gold_sql is None:
+                raise GoldExecutionError("no gold")
+            database = database_path(db_dir, task.db_id)
+            final = execution_accuracy(trace.final_sql, task.gold_sql, database)
+            per_iteration = [
+                execution_accuracy(r.generated_sql, task.gold_sql, database)
+                for r in trace.iterations
+            ]
+        except GoldExecutionError:
+            excluded += 1
+            continue
+        scored += 1
+        correct += final
+        counts["first_pass_total"] += 1
+        counts["first_pass_correct"] += per_iteration[0]
+        for record, ok in zip(trace.iterations, per_iteration):
+            if not record.verdicts:
+                continue
+            if ok:
+                counts["correct_checked"] += 1
+                counts["correct_rejected"] += not record.overall_accepted
+            else:
+                counts["wrong_checked"] += 1
+                counts["wrong_accepted"] += record.overall_accepted
+    return correct / scored, excluded, counts
+
+
+class TestScoringPass:
+    GOLD = "SELECT killed FROM death"
+    SAME_ROWS = "SELECT killed FROM death ORDER BY killed DESC"
+
+    @pytest.fixture()
+    def opened(self, monkeypatch):
+        """Every connection the scoring code opens, in order."""
+        connections = []
+        real_open = evalkit.open_readonly
+
+        def open_readonly(path):
+            conn = real_open(path)
+            connections.append((path.parent.name, conn))
+            return conn
+
+        monkeypatch.setattr(evalkit, "open_readonly", open_readonly)
+        return connections
+
+    @pytest.fixture()
+    def sql_runs(self, monkeypatch):
+        """How often the scoring code ran each SQL text."""
+        runs = Counter()
+        real_run_query = evalkit.run_query
+
+        def run_query(conn, sql, timeout):
+            runs[sql] += 1
+            return real_run_query(conn, sql, timeout=timeout)
+
+        monkeypatch.setattr(evalkit, "run_query", run_query)
+        return runs
+
+    @staticmethod
+    def _assert_all_closed(opened):
+        for _, conn in opened:
+            with pytest.raises(sqlite3.ProgrammingError):
+                conn.execute("SELECT 1")
+
+    def _interleaved(self):
+        """Traces alternating between two databases, golds repeated."""
+        other_gold = "SELECT count(*) FROM battle"
+        return [
+            _trace("t1", ["SELECT 1", self.SAME_ROWS], [False, True], self.GOLD, 3),
+            _trace("t2", ["SELECT 2"], [True], other_gold, 3, db_id="copy"),
+            _trace("t3", [self.SAME_ROWS], [True], self.GOLD, 3),
+            _trace("t4", ["SELECT 3", "SELECT 2"], [False, True], other_gold, 3, db_id="copy"),
+            _trace("t5", [self.SAME_ROWS], [True], self.GOLD, 3, db_id="copy"),
+        ]
+
+    def test_gold_runs_and_database_opens_once_per_pass(self, spider_layout, opened, sql_runs):
+        db_dir = spider_layout["db_dir"]
+        _add_database(db_dir, "copy")
+        traces = self._interleaved()
+        golds = {t.task.gold_sql for t in traces}
+        for score in (
+            lambda: evaluate_run(traces, db_dir),
+            lambda: estimate_pqs(traces, db_dir),
+        ):
+            sql_runs.clear()
+            opened.clear()
+            score()
+            # GOLD is scored on both databases, the count gold on "copy" only
+            assert {sql: sql_runs[sql] for sql in golds} == {
+                self.GOLD: 2,
+                "SELECT count(*) FROM battle": 1,
+            }
+            assert sorted(db_id for db_id, _ in opened) == ["battle_death", "copy"]
+            self._assert_all_closed(opened)
+
+    def test_connection_closed_when_scoring_raises(self, spider_layout, monkeypatch, opened):
+        db_dir = spider_layout["db_dir"]
+        _add_database(db_dir, "copy")
+        traces = self._interleaved()
+
+        def explode(*args):
+            raise RuntimeError("comparison failed")
+
+        monkeypatch.setattr(evalkit, "result_sets_match", explode)
+        for score in (evaluate_run, estimate_pqs):
+            opened.clear()
+            with pytest.raises(RuntimeError):
+                score(traces, db_dir)
+            assert opened
+            self._assert_all_closed(opened)
+
+    def test_statement_cannot_change_what_later_ones_see(self, spider_layout):
+        shadow = "CREATE TEMP TABLE death AS SELECT 1 AS killed"
+        traces = [
+            _trace("t1", [shadow, self.SAME_ROWS], [False, True], self.GOLD, 3),
+            _trace("t2", [shadow], [None], self.GOLD, 1),
+            _trace("t3", [self.SAME_ROWS], [True], self.GOLD, 3),
+        ]
+        report = evaluate_run(traces, spider_layout["db_dir"])
+        assert (report.n_tasks, report.ex) == (3, pytest.approx(2 / 3))
+        estimate = estimate_pqs(traces, spider_layout["db_dir"])
+        assert estimate.counts.first_pass_correct == 1
+        assert estimate.counts.correct_checked == 2 and estimate.counts.correct_rejected == 0
+
+    def test_connection_usable_after_timeout(self, spider_layout):
+        slow = (
+            "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c) "
+            "SELECT count(*) FROM c"
+        )
+        traces = [
+            _trace("t1", [slow, self.SAME_ROWS], [True, True], self.GOLD, 3),
+            _trace("t2", [slow], [None], self.GOLD, 1),
+            _trace("t3", [self.SAME_ROWS], [True], self.GOLD, 3),
+        ]
+        report = evaluate_run(traces, spider_layout["db_dir"], timeout=0.2)
+        assert report.ex == pytest.approx(2 / 3)
+        estimate = estimate_pqs(traces, spider_layout["db_dir"], timeout=0.2)
+        assert estimate.counts.first_pass_correct == 1
+        assert estimate.counts.wrong_accepted == 1 and estimate.counts.correct_checked == 2
+
+    def test_failing_gold_excluded_for_every_trace(self, spider_layout, sql_runs):
+        bad_gold = "SELECT nope FROM death"
+        traces = [
+            _trace("t1", ["SELECT 1"], [True], bad_gold, 2),
+            _trace("t2", [self.SAME_ROWS], [True], self.GOLD, 2),
+            _trace("t3", ["SELECT 2", "SELECT 3"], [False, True], bad_gold, 2),
+            _trace("t4", [bad_gold], [True], bad_gold, 2),
+        ]
+        report = evaluate_run(traces, spider_layout["db_dir"])
+        assert (report.n_tasks, report.n_excluded, report.ex) == (1, 3, 1.0)
+        assert sql_runs[bad_gold] == 1
+        estimate = estimate_pqs(traces, spider_layout["db_dir"])
+        assert estimate.n_excluded == 3 and estimate.counts.first_pass_total == 1
+
+    def test_equals_per_pair_scoring_in_every_order(self, spider_layout):
+        db_dir = spider_layout["db_dir"]
+        _add_database(db_dir, "copy")
+        correct, wrong, gold = "SELECT count(*) FROM battle", "SELECT 99", "SELECT 2"
+        traces = [
+            _trace("h1", [correct, wrong], [False, True], gold, 3),
+            _trace("h2", [wrong, wrong, correct], [False, False, None], gold, 3, db_id="copy"),
+            _trace("h3", [wrong], [True], gold, 3),
+            _trace("h4", [correct, correct], [False, True], gold, 3, db_id="copy"),
+            _trace("h5", ["SELECT 1"], [True], "SELECT nope FROM death", 2),
+            _trace("h6", ["SELECT 1"], [True], None, 2, db_id="copy"),
+        ] + [
+            _trace(f"p{i:02d}", [predicted], [True], pair_gold, 1, db_id=("battle_death", "copy")[i % 2])
+            for i, (predicted, pair_gold, _) in enumerate(SCORED_PAIRS)
+        ]
+        ex, excluded, counts = _reference_scores(traces, db_dir)
+        rng = random.Random(5)
+        orders = [traces, traces[::-1]] + [rng.sample(traces, len(traces)) for _ in range(20)]
+        orders += [list(p) + traces[6:] for p in itertools.permutations(traces[:6])]
+        for order in orders:
+            report = evaluate_run(order, db_dir)
+            estimate = estimate_pqs(order, db_dir)
+            assert (report.ex, report.n_excluded) == (ex, excluded)
+            assert estimate.counts.__dict__ == counts
+            assert estimate.n_excluded == excluded
+
+
 INVALID_SQL = "SELECT x FROM"
 VALID_WRONG = "SELECT 99"
 CORRECT = "SELECT count(*) FROM battle"  # = 2
@@ -371,6 +572,30 @@ class TestRunTasks:
         assert [task_id for task_id, _ in summary.failed] == ["t00001"]
 
 
+    def test_schema_ddl_once_per_database(self, spider_layout, tmp_path, monkeypatch):
+        battle = _parsed_schemas()["battle_death"]
+        schemas = {"battle_death": battle, "copy": battle}
+        tasks = [
+            SpiderTask(f"t{i:05d}", db_id, f"task {i}?", GOLD)
+            for i, db_id in enumerate(["battle_death", "copy", "battle_death", "nowhere", "copy"])
+        ]
+        ddl_calls = Counter()
+        real_schema_to_ddl = evalkit.schema_to_ddl
+
+        def schema_to_ddl(schemas, db_id):
+            ddl_calls[db_id] += 1
+            return real_schema_to_ddl(schemas, db_id)
+
+        monkeypatch.setattr(evalkit, "schema_to_ddl", schema_to_ddl)
+        summary = run_tasks(
+            tasks, schemas, lambda task: ScriptedActor([CORRECT]), lambda t: None,
+            ACConfig(critic_mode="none"), tmp_path / "traces.jsonl", concurrency=2,
+        )
+        assert ddl_calls == {"battle_death": 1, "copy": 1, "nowhere": 1}
+        assert summary.written == 4
+        assert summary.failed == [("t00003", "\"unknown db_id 'nowhere'\"")]
+
+
 class TestRunAblation:
     def test_mode_dependent_ex(self, spider_layout, tmp_path):
         schemas = _parsed_schemas()
@@ -445,3 +670,40 @@ class TestRunAblation:
         assert reports[0].mode == "none"
         assert reports[0].ex == pytest.approx(1 / 3)
         assert reports[0].baseline_ex is None
+
+    def test_mode_without_scored_task_has_no_ex(self, spider_layout, tmp_path):
+        schemas = _parsed_schemas()
+        tasks = _micro_tasks()
+        db_dir = spider_layout["db_dir"]
+
+        class Down:
+            def respond(self, messages):
+                raise ConnectionError("endpoint refused")
+
+        def actor_factory(task):
+            return ScriptedActor(_SCRIPTS[task.task_id], cycle_last=True)
+
+        def run_mode(mode, out_path):
+            from acsql.agents import CompositeCritic
+
+            return run_tasks(
+                tasks,
+                schemas,
+                (lambda task: Down()) if mode == "none" else actor_factory,
+                lambda task: CompositeCritic(mode, database=database_path(db_dir, task.db_id)),
+                ACConfig(max_iterations=2, critic_mode=mode),
+                out_path,
+                concurrency=1,
+            )
+
+        reports = run_ablation(
+            run_mode, modes=["none", "execution_only"], out_dir=tmp_path / "ab", db_dir=db_dir
+        )
+        none, execution = reports
+        assert (none.mode, none.n_tasks, none.ex) == ("none", 0, None)
+        assert none.to_json_dict()["ex"] is None and none.error_rate is None
+        assert execution.ex == pytest.approx(2 / 3)
+        assert execution.baseline_ex is None
+        assert execution.abs_improvement is None and execution.rel_error_reduction is None
+        none_row = format_reports(reports).splitlines()[1].split()
+        assert none_row == ["-", "none", "0", "-", "-", "-"]
