@@ -18,6 +18,7 @@ from typing import Protocol
 
 from .llm_client import ChatMessage, EndpointConfig, TransportError, complete
 from .sqlexec import QueryFailure, run_query
+from .theory import check_prob
 
 logger = logging.getLogger(__name__)
 
@@ -178,7 +179,7 @@ def execution_critic(
 
     An empty result set still accepts; syntax errors, unknown
     tables/columns, any statement but a query (writes, temp tables,
-    ATTACH and PRAGMA, refused by the handle from open_readonly), runtime
+    ATTACH and PRAGMA, refused by run_query on any handle), runtime
     errors, and timeouts all reject with the error text as evidence.
     Database-open failures propagate as DatabaseUnavailable.
     """
@@ -275,8 +276,7 @@ class BernoulliActor:
     """Emits a correctness-tagged token: correct with probability p."""
 
     def __init__(self, p: float, rng: random.Random):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {p}")
+        check_prob(p, "p")
         self.p = p
         self.rng = rng
 
@@ -292,10 +292,8 @@ class StochasticCritic:
     """
 
     def __init__(self, q: float, s: float, rng: random.Random):
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"s must be in [0, 1], got {s}")
+        check_prob(q, "q")
+        check_prob(s, "s")
         self.q = q
         self.s = s
         self.rng = rng

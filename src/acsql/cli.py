@@ -205,21 +205,13 @@ def _load_run_config(args) -> RunConfig:
             if not hasattr(config, key):
                 raise UsageError(f"unknown config key {key!r}")
             setattr(config, key, value)
-    flag_map = {
-        "tasks": "tasks",
-        "tables": "tables",
-        "db_dir": "db_dir",
-        "out": "out",
-        "mode": "mode",
-        "max_iterations": "max_iterations",
-        "concurrency": "concurrency",
-        "exec_timeout": "exec_timeout",
-        "seed": "seed",
-    }
-    for flag, attr in flag_map.items():
-        value = getattr(args, flag, None)
+    for name in (
+        "tasks", "tables", "db_dir", "out", "mode", "max_iterations", "concurrency",
+        "exec_timeout", "seed",
+    ):
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(config, attr, value)
+            setattr(config, name, value)
     for prefix, target in (("actor", config.actor), ("critic", config.critic)):
         for key in ("base_url", "model", "api_key_env"):
             value = getattr(args, f"{prefix}_{key}", None)

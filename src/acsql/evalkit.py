@@ -6,11 +6,13 @@ query orders its output at the top level, in which case row order
 matters. Text, integers and NULLs must match exactly; floating values
 match within 1e-6 relative tolerance.
 
-evaluate_run and estimate_pqs each score their traces in one pass:
-traces are taken grouped by db_id (EX does not depend on their order),
-one read-only connection is open at a time, each (db_id, gold) runs once
-and each (db_id, gold, sql) verdict is memoised. Nothing is kept after
-the call returns, and its connection is closed also when it raises.
+evaluate_run and estimate_pqs share one scoring loop and each score
+their traces in one pass: traces are taken grouped by db_id (EX does not
+depend on their order), one read-only connection is open at a time, each
+(db_id, gold) runs once and each (db_id, gold, sql) verdict is memoised.
+Nothing is kept after the call returns, and its connection is closed
+also when it raises. A trace log that holds a task_id twice is refused
+with TraceFormatError rather than scored twice.
 execution_accuracy scores one pair with the same comparison code.
 """
 
@@ -21,10 +23,12 @@ from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .agents import Actor, Critic
-from .engine import ACConfig, ACTrace, ActorError, read_traces, run_ac_loop, write_trace
+from .engine import (
+    ACConfig, ACTrace, ActorError, TraceFormatError, read_traces, run_ac_loop, write_trace
+)
 from .spider_data import SpiderTask, SchemaIndex, database_path, schema_to_ddl
 from .sqlexec import DatabaseUnavailable, QueryFailure, open_readonly, run_query
 
@@ -249,7 +253,9 @@ class _ScoringPass:
             self._db_id = db_id
         return self._conn
 
-    def _gold(self, db_id: str, gold_sql: str) -> tuple[list[tuple], int]:
+    def _gold(self, db_id: str, gold_sql: str | None) -> tuple[list[tuple], int]:
+        if gold_sql is None:
+            raise GoldExecutionError("task has no gold SQL")
         key = (db_id, gold_sql)
         if key not in self._golds:
             try:
@@ -261,7 +267,7 @@ class _ScoringPass:
             raise GoldExecutionError(gold)
         return gold
 
-    def score(self, sql: str, gold_sql: str, db_id: str) -> bool:
+    def score(self, sql: str, gold_sql: str | None, db_id: str) -> bool:
         key = (db_id, gold_sql, sql)
         if key not in self._verdicts:
             gold = self._gold(db_id, gold_sql)
@@ -271,8 +277,32 @@ class _ScoringPass:
         return self._verdicts[key]
 
 
-def _by_database(traces: Iterable[ACTrace]) -> list[ACTrace]:
-    return sorted(traces, key=lambda trace: trace.task.db_id)
+def _scored_traces(
+    traces: Iterable[ACTrace],
+    db_dir: str | Path,
+    timeout: float,
+    candidates: Callable[[ACTrace], list[str]],
+) -> Iterator[tuple[ACTrace, list[bool] | None]]:
+    """Yield (trace, verdict per candidate SQL) in one scoring pass.
+
+    Traces are taken grouped by db_id. The verdicts are None for a task
+    that cannot be scored: it has no gold, its gold fails, or its
+    database is missing. A task_id seen twice raises TraceFormatError.
+    """
+    seen: set[str] = set()
+    with closing(_ScoringPass(db_dir, timeout)) as scoring:
+        for trace in sorted(traces, key=lambda trace: trace.task.db_id):
+            task = trace.task
+            if task.task_id in seen:
+                raise TraceFormatError(f"task_id {task.task_id!r} appears twice in the trace log")
+            seen.add(task.task_id)
+            try:
+                verdicts = [
+                    scoring.score(sql, task.gold_sql, task.db_id) for sql in candidates(trace)
+                ]
+            except (GoldExecutionError, DatabaseUnavailable):
+                verdicts = None
+            yield trace, verdicts
 
 
 def evaluate_run(
@@ -286,31 +316,17 @@ def evaluate_run(
 
     Tasks without gold SQL or whose gold fails to execute are excluded
     from the denominator and counted in n_excluded; with no task scored,
-    EX is None.
+    EX is None. A task_id seen twice raises TraceFormatError.
     """
-    modes = set()
-    scored = 0
-    correct = 0
-    excluded = 0
-    with closing(_ScoringPass(db_dir, timeout)) as scoring:
-        for trace in _by_database(traces):
-            modes.add(trace.config.critic_mode)
-            if trace.task.gold_sql is None:
-                excluded += 1
-                continue
-            try:
-                ok = scoring.score(trace.final_sql, trace.task.gold_sql, trace.task.db_id)
-            except (GoldExecutionError, DatabaseUnavailable):
-                excluded += 1
-                continue
-            scored += 1
-            correct += ok
+    results = list(_scored_traces(traces, db_dir, timeout, lambda trace: [trace.final_sql]))
+    modes = {trace.config.critic_mode for trace, _ in results}
+    finals = [verdicts[0] for _, verdicts in results if verdicts is not None]
     return EvalReport(
         dataset_name=dataset_name,
         mode=modes.pop() if len(modes) == 1 else ("mixed" if modes else ""),
-        n_tasks=scored,
-        ex=correct / scored if scored else None,
-        n_excluded=excluded,
+        n_tasks=len(finals),
+        ex=sum(finals) / len(finals) if finals else None,
+        n_excluded=len(results) - len(finals),
         baseline_ex=baseline_ex,
     )
 
@@ -320,7 +336,7 @@ def evaluate_run(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class PQSCounts:
     first_pass_correct: int = 0
     first_pass_total: int = 0
@@ -356,51 +372,38 @@ def estimate_pqs(
     p from first-iteration generations; q and s pooled over every
     critic-checked generation, scoring each generation by execution
     accuracy and reading the iteration's overall verdict. Estimates with
-    empty denominators are reported as None, never as zero.
+    empty denominators are reported as None, never as zero. A task_id
+    seen twice raises TraceFormatError.
     """
-    counts = dict(
-        first_pass_correct=0,
-        first_pass_total=0,
-        wrong_checked=0,
-        wrong_accepted=0,
-        correct_checked=0,
-        correct_rejected=0,
-    )
+    counts = PQSCounts()
     excluded = 0
-    with closing(_ScoringPass(db_dir, timeout)) as scoring:
-        for trace in _by_database(traces):
-            if trace.task.gold_sql is None:
-                excluded += 1
+    for trace, per_iteration in _scored_traces(
+        traces, db_dir, timeout, lambda trace: [r.generated_sql for r in trace.iterations]
+    ):
+        if per_iteration is None:
+            excluded += 1
+            continue
+        counts.first_pass_total += 1
+        counts.first_pass_correct += per_iteration[0]
+        for record, is_correct in zip(trace.iterations, per_iteration):
+            if not record.verdicts:
                 continue
-            try:
-                per_iteration = [
-                    scoring.score(record.generated_sql, trace.task.gold_sql, trace.task.db_id)
-                    for record in trace.iterations
-                ]
-            except (GoldExecutionError, DatabaseUnavailable):
-                excluded += 1
-                continue
-            counts["first_pass_total"] += 1
-            counts["first_pass_correct"] += per_iteration[0]
-            for record, is_correct in zip(trace.iterations, per_iteration):
-                if not record.verdicts:
-                    continue
-                accepted = record.overall_accepted
-                if is_correct:
-                    counts["correct_checked"] += 1
-                    counts["correct_rejected"] += not accepted
-                else:
-                    counts["wrong_checked"] += 1
-                    counts["wrong_accepted"] += accepted
+            accepted = record.overall_accepted
+            if is_correct:
+                counts.correct_checked += 1
+                counts.correct_rejected += not accepted
+            else:
+                counts.wrong_checked += 1
+                counts.wrong_accepted += accepted
 
     def ratio(num: int, den: int) -> float | None:
         return num / den if den else None
 
     return PQSEstimate(
-        p_hat=ratio(counts["first_pass_correct"], counts["first_pass_total"]),
-        q_hat=ratio(counts["wrong_accepted"], counts["wrong_checked"]),
-        s_hat=ratio(counts["correct_rejected"], counts["correct_checked"]),
-        counts=PQSCounts(**counts),
+        p_hat=ratio(counts.first_pass_correct, counts.first_pass_total),
+        q_hat=ratio(counts.wrong_accepted, counts.wrong_checked),
+        s_hat=ratio(counts.correct_rejected, counts.correct_checked),
+        counts=counts,
         n_excluded=excluded,
     )
 

@@ -1,15 +1,16 @@
 """Read-only SQLite execution with a wall-clock cutoff.
 
-All candidate and gold SQL in this package runs through here. A
-connection from open_readonly is opened in read-only mode (so
-INSERT/UPDATE/... fail at the engine level) and carries an authorizer
-that allows only reading: SELECT, reading a column, calling a function
-and recursive CTEs. Everything else is refused when the statement is
-prepared, including what read-only mode lets through because it changes
-only the connection: CREATE TEMP TABLE/VIEW, ATTACH and PRAGMA. So one
-handle is safe to reuse across untrusted statements; none can change
-what a later one sees. A progress handler interrupts statements that
-outlive the timeout, and the handle stays usable after an interrupt.
+All candidate and gold SQL in this package runs through run_query, on a
+handle from open_readonly (read-only mode: INSERT/UPDATE/... fail at the
+engine level) or on a caller's own connection. For each statement
+run_query installs an authorizer that allows only reading: SELECT,
+reading a column, calling a function and recursive CTEs. Everything else
+is refused when the statement is prepared, including what read-only mode
+lets through because it changes only the connection: CREATE TEMP
+TABLE/VIEW, ATTACH and PRAGMA. So one handle is safe to reuse across
+untrusted statements; none can change what a later one sees. A progress
+handler interrupts statements that outlive the timeout, and the handle
+stays usable after an interrupt.
 """
 
 import sqlite3
@@ -39,7 +40,7 @@ def _authorize(action: int, *_details) -> int:
 
 
 def open_readonly(path: str | Path) -> sqlite3.Connection:
-    """Open a read-only handle that refuses every statement but a query."""
+    """Open a read-only handle; run_query refuses every statement but a query on it."""
     p = Path(path)
     if not p.is_file():
         raise DatabaseUnavailable(f"database file not found: {p}")
@@ -47,7 +48,6 @@ def open_readonly(path: str | Path) -> sqlite3.Connection:
         conn = sqlite3.connect(f"file:{p}?mode=ro", uri=True)
         conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
         conn.execute("SELECT 1")
-        conn.set_authorizer(_authorize)
     except sqlite3.Error as exc:
         raise DatabaseUnavailable(f"cannot open {p} read-only: {exc}") from exc
     return conn
@@ -69,6 +69,7 @@ def run_query(
     def over_deadline():
         return 1 if time.monotonic() > deadline else 0
 
+    conn.set_authorizer(_authorize)
     conn.set_progress_handler(over_deadline, 10_000)
     try:
         cursor = conn.execute(sql)
@@ -83,5 +84,6 @@ def run_query(
         raise QueryFailure(str(exc)) from exc
     finally:
         conn.set_progress_handler(None, 0)
+        conn.set_authorizer(None)
         if own_connection:
             conn.close()

@@ -20,6 +20,9 @@ and the final generation happens to be correct.  Note the identity
 is exactly zero only at degenerate parameter corners, where the geometric
 sum collapses to p*(1-s)*(z-1) + p.
 
+p, q and s may be numbers or NumPy arrays that broadcast together, so a
+whole (q, s) lattice is one evaluation of `expected_prob`.
+
 `enumerate_prob` recomputes the same quantity by brute-force enumeration
 of every outcome sequence and exists purely as an independent check on
 the closed form.
@@ -27,36 +30,40 @@ the closed form.
 
 import csv
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, TextIO
 
+import numpy as np
+
+
+def check_prob(value, name: str) -> None:
+    """Raise ValueError unless value, a number or an array, lies in [0, 1] throughout."""
+    array = np.asarray(value)
+    # NaN fails both comparisons
+    if array.dtype.kind not in "biuf" or not np.all((array >= 0.0) & (array <= 1.0)):
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+
 
 @dataclass(frozen=True)
 class ACParams:
-    """Parameters of one actor-critic configuration.
+    """Parameters of one actor-critic configuration, or of a lattice of them.
 
-    p, q, s are probabilities in [0, 1]; z is the total generation
-    budget (z >= 1). Verdicts are issued at iterations 1..z-1 only.
+    p, q, s are probabilities in [0, 1], each a number or a NumPy array
+    (arrays broadcast together); z is the total generation budget
+    (z >= 1). Verdicts are issued at iterations 1..z-1 only.
     """
 
-    p: float
-    q: float
-    s: float
+    p: float | np.ndarray
+    q: float | np.ndarray
+    s: float | np.ndarray
     z: int
 
     def __post_init__(self) -> None:
         for name in ("p", "q", "s"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or math.isnan(value):
-                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if not isinstance(self.z, int) or isinstance(self.z, bool):
+            check_prob(getattr(self, name), name)
+        if not isinstance(self.z, int) or isinstance(self.z, bool) or self.z < 1:
             raise ValueError(f"z must be an integer >= 1, got {self.z!r}")
-        if self.z < 1:
-            raise ValueError(f"z must be >= 1, got {self.z}")
 
 
 class GainRegion(Enum):
@@ -67,28 +74,23 @@ class GainRegion(Enum):
     LOSS = "loss"
 
 
-def _check_prob(value: float, name: str) -> float:
-    if not isinstance(value, (int, float)) or math.isnan(value) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return float(value)
+def expected_prob(params: ACParams) -> float | np.ndarray:
+    """Probability that the loop's emitted SQL is correct, per point of params.
 
-
-def expected_prob(params: ACParams) -> float:
-    """Probability that the loop's emitted SQL is correct.
-
-    Uses the geometric closed form; at the degenerate corner where the
-    per-round reject probability A equals 1 exactly (possible only when
-    p*(1-s) and (1-p)*q are both zero), falls back to the direct sum
-    p*(1-s)*(z-1) + p.
+    Uses the geometric closed form. Where the per-round reject
+    probability A is exactly 1 (possible only when p*(1-s) and (1-p)*q
+    are both zero) the geometric term is 0 and the tail A^(z-1) is 1, so
+    the result is the direct sum p*(1-s)*(z-1) + p = p.
     """
     p, q, s, z = params.p, params.q, params.s, params.z
     reject_round = p * s + (1.0 - p) * (1.0 - q)
     # Algebraically 1 - reject_round; exact where the geometric form is singular.
     accept_round = p * (1.0 - s) + (1.0 - p) * q
-    tail = reject_round ** (z - 1)
-    if accept_round == 0.0:
-        return p * (1.0 - s) * (z - 1) + p
-    return p * (1.0 - s) * (1.0 - tail) / accept_round + p * tail
+    # libm's pow, as Python's ** uses: np.power may differ by an ULP on arrays
+    tail = np.float_power(reject_round, z - 1)
+    head = p * (1.0 - s) * (1.0 - tail)
+    head = np.divide(head, accept_round, out=np.zeros_like(head), where=accept_round != 0.0)
+    return head + p * tail
 
 
 def enumerate_prob(params: ACParams) -> float:
@@ -128,9 +130,8 @@ def limit_prob(p: float, q: float, s: float) -> float:
     Undefined when p*s + (1-p)*(1-q) = 1 (the tail never vanishes);
     raises ZeroDivisionError there.
     """
-    p = _check_prob(p, "p")
-    q = _check_prob(q, "q")
-    s = _check_prob(s, "s")
+    for value, name in ((p, "p"), (q, "q"), (s, "s")):
+        check_prob(value, name)
     accept_round = p * (1.0 - s) + (1.0 - p) * q
     if accept_round == 0.0:
         raise ZeroDivisionError(
@@ -147,8 +148,8 @@ def classify_gain(q: float, s: float) -> GainRegion:
     actor, independent of p and z (for z > 1, p strictly between 0 and 1);
     above it, only degrade.
     """
-    q = _check_prob(q, "q")
-    s = _check_prob(s, "s")
+    check_prob(q, "q")
+    check_prob(s, "s")
     total = q + s
     if total < 1.0:
         return GainRegion.GAIN
@@ -177,20 +178,18 @@ class ContourGrid:
 def contour_grid(p: float, z: int, resolution: int) -> ContourGrid:
     """Evaluate `expected_prob` on a resolution x resolution lattice over [0,1]^2.
 
-    Lattice points are evenly spaced including both endpoints. Every
-    point on the q + s = 1 anti-diagonal carries prob = p (up to float
-    rounding).
+    Lattice points are evenly spaced including both endpoints, and the
+    whole lattice is one array evaluation. Every point on the q + s = 1
+    anti-diagonal carries prob = p (up to float rounding).
     """
-    p = _check_prob(p, "p")
-    if not isinstance(z, int) or z < 1:
-        raise ValueError(f"z must be an integer >= 1, got {z!r}")
     if not isinstance(resolution, int) or resolution < 2:
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
-    axis = tuple(i / (resolution - 1) for i in range(resolution))
-    rows = tuple(
-        tuple(expected_prob(ACParams(p=p, q=q, s=s, z=z)) for s in axis) for q in axis
+    axis = np.arange(resolution) / (resolution - 1)
+    prob = expected_prob(ACParams(p=p, q=axis[:, None], s=axis[None, :], z=z))
+    values = tuple(axis.tolist())
+    return ContourGrid(
+        p=p, z=z, q_values=values, s_values=values, prob=tuple(map(tuple, prob.tolist()))
     )
-    return ContourGrid(p=p, z=z, q_values=axis, s_values=axis, prob=rows)
 
 
 def write_contour_csv(grid: ContourGrid, out: TextIO) -> int:

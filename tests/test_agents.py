@@ -190,18 +190,24 @@ class TestExecutionCritic:
         assert "t" in verdict.detail
 
     def test_rejects_write_statements(self, battle_db):
-        for sql in (
-            "INSERT INTO battle VALUES (9, 'x', '9', 'a', 'b', 'c')",
-            "DELETE FROM death",
-            "UPDATE ship SET tonnage = '0'",
-            "DROP TABLE battle",
-            # read-only mode alone lets these change the connection
-            "CREATE TEMP TABLE item AS SELECT 99 AS x",
-            "ATTACH ':memory:' AS m",
-            "PRAGMA query_only=0",
-        ):
-            verdict = execution_critic(sql, battle_db)
-            assert not verdict.accepted, sql
+        # by path, and on a caller's own read-only handle
+        bare = sqlite3.connect(f"file:{battle_db}?mode=ro", uri=True)
+        try:
+            for database in (battle_db, bare):
+                for sql in (
+                    "INSERT INTO battle VALUES (9, 'x', '9', 'a', 'b', 'c')",
+                    "DELETE FROM death",
+                    "UPDATE ship SET tonnage = '0'",
+                    "DROP TABLE battle",
+                    # read-only mode alone lets these change the connection
+                    "CREATE TEMP TABLE item AS SELECT 99 AS x",
+                    "ATTACH ':memory:' AS m",
+                    "PRAGMA query_only=0",
+                ):
+                    verdict = execution_critic(sql, database)
+                    assert not verdict.accepted, (database, sql)
+        finally:
+            bare.close()
 
     def test_rejects_on_timeout(self, battle_db):
         verdict = execution_critic(

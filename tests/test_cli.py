@@ -199,6 +199,23 @@ class TestEvalCommands:
         assert set(payload) >= {"p_hat", "q_hat", "s_hat", "counts"}
         assert payload["counts"]["first_pass_total"] == 4
 
+    def test_repeated_task_id_is_io_error(self, capsys, micro_dataset):
+        config_path, out_path = _bernoulli_config(micro_dataset, "twice.jsonl")
+        run_cli(capsys, "eval", "run", "--config", str(config_path), "--mode", "none", "--seed", "3")
+        with open(out_path, encoding="utf-8") as f:
+            first = f.readline()
+        with open(out_path, "a", encoding="utf-8") as f:
+            f.write(first)
+        task_id = json.loads(first)["task_id"]
+        for command in ("report", "estimate-pqs"):
+            code, out, err = run_cli(
+                capsys,
+                "eval", command,
+                "--traces", out_path, "--db-dir", micro_dataset["db_dir"],
+            )
+            assert code == EXIT_IO, command
+            assert task_id in err and out == "", command
+
     def test_unreachable_endpoint_exits_transport(self, capsys, micro_dataset):
         config = {
             "tasks": micro_dataset["tasks"],

@@ -3,6 +3,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,10 @@ class TestParams:
             ACParams(p=0.5, q=-0.1, s=0.5, z=3)
         with pytest.raises(ValueError):
             ACParams(p=0.5, q=0.5, s=float("nan"), z=3)
+        with pytest.raises(ValueError):
+            ACParams(p=0.5, q=np.array([0.0, 0.5, 1.5]), s=0.5, z=3)
+        with pytest.raises(ValueError):
+            ACParams(p=0.5, q=0.5, s=np.array([[0.1, np.nan]]), z=3)
 
     def test_rejects_bad_z(self):
         with pytest.raises(ValueError):
@@ -208,6 +213,18 @@ class TestContourGrid:
         n = len(grid.q_values)
         for i in range(n):
             assert grid.prob[i][n - 1 - i] == pytest.approx(0.4, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_array_path_matches_scalar_closed_form(self):
+        # p = 0 and p = 1 put degenerate corners (accept_round == 0) on the lattice
+        for p in (0.0, 0.37, 1.0):
+            for z in (1, 2, 20):
+                grid = contour_grid(p=p, z=z, resolution=41)
+                for i, q in enumerate(grid.q_values):
+                    for j, s in enumerate(grid.s_values):
+                        expected = expected_prob(ACParams(p=p, q=q, s=s, z=z))
+                        got = grid.prob[i][j]
+                        assert abs(got - expected) <= np.spacing(expected), (p, z, q, s)
 
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
