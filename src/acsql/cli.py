@@ -325,13 +325,6 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
-    return value
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -352,10 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_limit = theory_sub.add_parser("limit", help="unbounded-budget limit")
     p_contour = theory_sub.add_parser("contour", help="(q, s) lattice as CSV")
     for sp in (p_prob, p_limit, p_contour):
-        sp.add_argument("--p", type=_probability, required=True)
+        sp.add_argument("--p", type=float, required=True)
     for sp in (p_prob, p_limit):
-        sp.add_argument("--q", type=_probability, required=True)
-        sp.add_argument("--s", type=_probability, required=True)
+        sp.add_argument("--q", type=float, required=True)
+        sp.add_argument("--s", type=float, required=True)
     p_prob.add_argument("--z", type=_positive_int, required=True)
     p_contour.add_argument("--z", type=_positive_int, required=True)
     p_contour.add_argument("--resolution", type=_positive_int, default=101)
@@ -363,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_theory.set_defaults(handler=_cmd_theory)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo validation run")
-    p_sim.add_argument("--p", type=_probability, required=True)
-    p_sim.add_argument("--q", type=_probability, required=True)
-    p_sim.add_argument("--s", type=_probability, required=True)
+    p_sim.add_argument("--p", type=float, required=True)
+    p_sim.add_argument("--q", type=float, required=True)
+    p_sim.add_argument("--s", type=float, required=True)
     p_sim.add_argument("--z", type=_positive_int, required=True)
     p_sim.add_argument("--trials", type=_positive_int, default=1_000_000)
     p_sim.add_argument("--repeats", type=_positive_int, default=100)

@@ -15,7 +15,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 from .agents import (
     CRITIC_MODES,
@@ -193,6 +193,10 @@ def trace_from_dict(payload: dict) -> ACTrace:
             )
             for item in payload["iterations"]
         )
+        if not iterations:
+            raise ValueError("a trace needs at least one iteration")
+        if any(not isinstance(v.accepted, bool) for record in iterations for v in record.verdicts):
+            raise ValueError("a verdict's 'accepted' must be true or false")
         return ACTrace(
             task=task,
             config=config,
@@ -207,16 +211,6 @@ def trace_from_dict(payload: dict) -> ACTrace:
 def write_trace(trace: ACTrace, out: IO[str]) -> None:
     """Append one trace as a single JSON line."""
     out.write(json.dumps(trace_to_dict(trace), ensure_ascii=False) + "\n")
-
-
-def write_traces(traces: Iterable[ACTrace], path: str | Path, append: bool = False) -> int:
-    mode = "a" if append else "w"
-    n = 0
-    with open(path, mode, encoding="utf-8") as f:
-        for trace in traces:
-            write_trace(trace, f)
-            n += 1
-    return n
 
 
 def read_traces(path: str | Path, strict: bool = False) -> list[ACTrace]:

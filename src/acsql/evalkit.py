@@ -7,15 +7,17 @@ matters. Text, integers and NULLs must match exactly; floating values
 match within 1e-6 relative tolerance.
 
 evaluate_run and estimate_pqs share one scoring loop and each score
-their traces in one pass: traces are taken grouped by db_id (EX does not
-depend on their order), one read-only connection is open at a time, each
-(db_id, gold) runs once and each (db_id, gold, sql) verdict is memoised.
-Nothing is kept after the call returns, and its connection is closed
-also when it raises. A trace log that holds a task_id twice is refused
-with TraceFormatError rather than scored twice.
+their traces in one pass: the traces are sorted by db_id and each
+database is scored inside one block that holds its read-only connection,
+the result of each gold (None when the gold fails) and the verdict of
+each (gold, sql) pair. The block closes its connection when it ends or
+raises, so at most one is open and nothing outlives the call. A trace
+log that holds a task_id twice is refused with TraceFormatError rather
+than scored twice.
 execution_accuracy scores one pair with the same comparison code.
 """
 
+import itertools
 import re
 import sqlite3
 import threading
@@ -112,13 +114,6 @@ def result_sets_match(
     )
 
 
-def _run_gold(conn: sqlite3.Connection, gold_sql: str, timeout: float) -> tuple[list[tuple], int]:
-    try:
-        return run_query(conn, gold_sql, timeout=timeout)
-    except QueryFailure as exc:
-        raise GoldExecutionError(f"gold SQL failed: {exc}") from exc
-
-
 def _prediction_matches(
     conn: sqlite3.Connection,
     predicted_sql: str,
@@ -148,7 +143,10 @@ def execution_accuracy(
     raises GoldExecutionError so the caller can exclude the task.
     """
     with closing(open_readonly(database)) as conn:
-        gold = _run_gold(conn, gold_sql, timeout)
+        try:
+            gold = run_query(conn, gold_sql, timeout=timeout)
+        except QueryFailure as exc:
+            raise GoldExecutionError(f"gold SQL failed: {exc}") from exc
         return _prediction_matches(conn, predicted_sql, gold_sql, gold, timeout)
 
 
@@ -221,88 +219,53 @@ def format_reports(reports: Sequence[EvalReport]) -> str:
     return "\n".join(lines)
 
 
-class _ScoringPass:
-    """The scoring state of one evaluate_run or estimate_pqs call.
-
-    Keeps at most one connection open, to the database scored last, so
-    callers feed it traces grouped by db_id. Each (db_id, gold) runs once
-    and its result, or its failure message, is kept for the pass; each
-    (db_id, gold, sql) verdict is memoised. Nothing outlives the pass:
-    close() closes the connection.
-    """
-
-    def __init__(self, db_dir: str | Path, timeout: float):
-        self.db_dir = Path(db_dir)
-        self.timeout = timeout
-        self._db_id: str | None = None
-        self._conn: sqlite3.Connection | None = None
-        # a failing gold keeps its message, not the exception: re-raising
-        # one instance grows its traceback and keeps the pass's frames alive
-        self._golds: dict[tuple[str, str], tuple[list[tuple], int] | str] = {}
-        self._verdicts: dict[tuple[str, str, str], bool] = {}
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-        self._db_id, self._conn = None, None
-
-    def _connection(self, db_id: str) -> sqlite3.Connection:
-        if db_id != self._db_id:
-            self.close()
-            self._conn = open_readonly(database_path(self.db_dir, db_id))
-            self._db_id = db_id
-        return self._conn
-
-    def _gold(self, db_id: str, gold_sql: str | None) -> tuple[list[tuple], int]:
-        if gold_sql is None:
-            raise GoldExecutionError("task has no gold SQL")
-        key = (db_id, gold_sql)
-        if key not in self._golds:
-            try:
-                self._golds[key] = _run_gold(self._connection(db_id), gold_sql, self.timeout)
-            except GoldExecutionError as exc:
-                self._golds[key] = str(exc)
-        gold = self._golds[key]
-        if isinstance(gold, str):
-            raise GoldExecutionError(gold)
-        return gold
-
-    def score(self, sql: str, gold_sql: str | None, db_id: str) -> bool:
-        key = (db_id, gold_sql, sql)
-        if key not in self._verdicts:
-            gold = self._gold(db_id, gold_sql)
-            self._verdicts[key] = _prediction_matches(
-                self._connection(db_id), sql, gold_sql, gold, self.timeout
-            )
-        return self._verdicts[key]
-
-
 def _scored_traces(
     traces: Iterable[ACTrace],
     db_dir: str | Path,
     timeout: float,
     candidates: Callable[[ACTrace], list[str]],
 ) -> Iterator[tuple[ACTrace, list[bool] | None]]:
-    """Yield (trace, verdict per candidate SQL) in one scoring pass.
+    """Yield (trace, verdict per candidate SQL), one database at a time.
 
-    Traces are taken grouped by db_id. The verdicts are None for a task
-    that cannot be scored: it has no gold, its gold fails, or its
-    database is missing. A task_id seen twice raises TraceFormatError.
+    The verdicts are None for a task that cannot be scored: it has no
+    gold, its gold fails, or its database is missing. A task_id seen
+    twice raises TraceFormatError before anything is scored.
     """
+    ordered = sorted(traces, key=lambda trace: trace.task.db_id)
     seen: set[str] = set()
-    with closing(_ScoringPass(db_dir, timeout)) as scoring:
-        for trace in sorted(traces, key=lambda trace: trace.task.db_id):
-            task = trace.task
-            if task.task_id in seen:
-                raise TraceFormatError(f"task_id {task.task_id!r} appears twice in the trace log")
-            seen.add(task.task_id)
-            try:
-                verdicts = [
-                    scoring.score(sql, task.gold_sql, task.db_id) for sql in candidates(trace)
-                ]
-            except (GoldExecutionError, DatabaseUnavailable):
-                verdicts = None
-            yield trace, verdicts
+    for trace in ordered:
+        if trace.task.task_id in seen:
+            raise TraceFormatError(f"task_id {trace.task.task_id!r} appears twice in the trace log")
+        seen.add(trace.task.task_id)
+
+    for db_id, group in itertools.groupby(ordered, key=lambda trace: trace.task.db_id):
+        try:
+            conn = open_readonly(database_path(db_dir, db_id))
+        except DatabaseUnavailable:
+            yield from ((trace, None) for trace in group)
+            continue
+        with closing(conn):
+            golds: dict[str, tuple[list[tuple], int] | None] = {}
+            matches: dict[tuple[str, str], bool] = {}
+            for trace in group:
+                gold_sql = trace.task.gold_sql
+                if gold_sql is not None and gold_sql not in golds:
+                    try:
+                        golds[gold_sql] = run_query(conn, gold_sql, timeout=timeout)
+                    except QueryFailure:
+                        golds[gold_sql] = None
+                gold = golds.get(gold_sql)
+                if gold is None:
+                    yield trace, None
+                    continue
+                verdicts = []
+                for sql in candidates(trace):
+                    if (gold_sql, sql) not in matches:
+                        matches[gold_sql, sql] = _prediction_matches(
+                            conn, sql, gold_sql, gold, timeout
+                        )
+                    verdicts.append(matches[gold_sql, sql])
+                yield trace, verdicts
 
 
 def evaluate_run(
@@ -450,15 +413,9 @@ def run_tasks(
     summary.resumed = len(tasks) - len(pending)
 
     write_lock = threading.Lock()
-    ddls = {
-        db_id: schema_to_ddl(schemas, db_id)
-        for db_id in {t.db_id for t in pending}
-        if db_id in schemas
-    }
 
     def run_one(task: SpiderTask) -> ACTrace:
-        # an unknown db_id has no entry; schema_to_ddl raises the task's KeyError
-        ddl = ddls[task.db_id] if task.db_id in ddls else schema_to_ddl(schemas, task.db_id)
+        ddl = schema_to_ddl(schemas, task.db_id)
         critic = None if config.critic_mode == "none" else critic_factory(task)
         return run_ac_loop(actor_factory(task), critic, task, config, ddl)
 

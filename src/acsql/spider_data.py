@@ -3,6 +3,8 @@
 Inputs are Spider's on-disk conventions: a JSON array of tasks with
 question/db_id/query fields, a tables.json describing every database
 schema, and one SQLite file per database at <db_dir>/<db_id>/<db_id>.sqlite.
+A schema is kept only as its prompt DDL, built once when tables.json is
+parsed.
 """
 
 import json
@@ -22,15 +24,7 @@ class SpiderTask:
     gold_sql: str | None = None
 
 
-@dataclass(frozen=True)
-class TableSchema:
-    table_name: str
-    columns: tuple[tuple[str, str], ...]  # (name, declared type) in dataset order
-    primary_keys: tuple[str, ...] = ()
-    foreign_keys: tuple[tuple[str, str, str], ...] = ()  # (local, foreign table, foreign col)
-
-
-SchemaIndex = dict[str, tuple[TableSchema, ...]]
+SchemaIndex = dict[str, str]  # db_id -> prompt DDL
 
 # Spider declares abstract column types; prompts use concrete SQL surface
 # types (INT/TEXT being the common case).
@@ -46,12 +40,7 @@ _TYPE_SURFACE = {
 class LoadedDataset:
     tasks: list[SpiderTask]
     schemas: SchemaIndex
-    db_dir: Path
     unloadable: list[tuple[str, str]] = field(default_factory=list)  # (task_id, reason)
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.tasks)
 
     def load_report(self) -> str:
         lines = [
@@ -79,7 +68,12 @@ def _read_json(path: str | Path):
 
 
 def parse_tables_json(path: str | Path) -> SchemaIndex:
-    """Build the schema index from Spider's tables.json."""
+    """Map each db_id in Spider's tables.json to its prompt DDL.
+
+    One CREATE TABLE statement per table in dataset order, columns
+    followed by PRIMARY KEY and FOREIGN KEY clauses; the output is
+    deterministic.
+    """
     raw = _read_json(path)
     if not isinstance(raw, list):
         raise DatasetFormatError(f"{path}: expected a JSON array of database entries")
@@ -92,16 +86,16 @@ def parse_tables_json(path: str | Path) -> SchemaIndex:
         primary_keys = set(entry.get("primary_keys", []))
         foreign_keys = entry.get("foreign_keys", [])
 
-        columns_by_table: list[list[tuple[str, str]]] = [[] for _ in table_names]
+        columns_by_table: list[list[str]] = [[] for _ in table_names]
         pk_by_table: list[list[str]] = [[] for _ in table_names]
-        fk_by_table: list[list[tuple[str, str, str]]] = [[] for _ in table_names]
+        fk_by_table: list[list[str]] = [[] for _ in table_names]
 
         for col_idx, (table_idx, col_name) in enumerate(column_pairs):
             if table_idx < 0:  # the "*" pseudo-column
                 continue
             declared = column_types[col_idx] if col_idx < len(column_types) else "text"
             surface = _TYPE_SURFACE.get(str(declared).lower(), "TEXT")
-            columns_by_table[table_idx].append((col_name, surface))
+            columns_by_table[table_idx].append(f"{col_name} {surface}")
             if col_idx in primary_keys:
                 pk_by_table[table_idx].append(col_name)
 
@@ -115,40 +109,23 @@ def parse_tables_json(path: str | Path) -> SchemaIndex:
             local_table, local_col = column_pairs[local_idx]
             foreign_table, foreign_col = column_pairs[foreign_idx]
             fk_by_table[local_table].append(
-                (local_col, table_names[foreign_table], foreign_col)
+                f"FOREIGN KEY ( {local_col} ) REFERENCES {table_names[foreign_table]} ({foreign_col})"
             )
 
-        index[db_id] = tuple(
-            TableSchema(
-                table_name=name,
-                columns=tuple(columns_by_table[i]),
-                primary_keys=tuple(pk_by_table[i]),
-                foreign_keys=tuple(fk_by_table[i]),
-            )
-            for i, name in enumerate(table_names)
-        )
+        statements = []
+        for name, columns, pks, fks in zip(table_names, columns_by_table, pk_by_table, fk_by_table):
+            if pks:
+                columns.append(f"PRIMARY KEY ( {', '.join(pks)} )")
+            statements.append(f"CREATE TABLE {name} ( {', '.join(columns + fks)} );")
+        index[db_id] = "\n\n".join(statements)
     return index
 
 
 def schema_to_ddl(schemas: SchemaIndex, db_id: str) -> str:
-    """Serialize one database schema to prompt DDL, deterministically.
-
-    One CREATE TABLE statement per table in dataset order, columns
-    followed by PRIMARY KEY and FOREIGN KEY clauses.
-    """
+    """The prompt DDL of one database; an unknown db_id raises KeyError."""
     if db_id not in schemas:
         raise KeyError(f"unknown db_id {db_id!r}")
-    statements = []
-    for table in schemas[db_id]:
-        parts = [f"{name} {decl}" for name, decl in table.columns]
-        if table.primary_keys:
-            parts.append(f"PRIMARY KEY ( {', '.join(table.primary_keys)} )")
-        for local, foreign_table, foreign_col in table.foreign_keys:
-            parts.append(
-                f"FOREIGN KEY ( {local} ) REFERENCES {foreign_table} ({foreign_col})"
-            )
-        statements.append(f"CREATE TABLE {table.table_name} ( {', '.join(parts)} );")
-    return "\n\n".join(statements)
+    return schemas[db_id]
 
 
 def load_dataset(
@@ -159,7 +136,6 @@ def load_dataset(
     if not isinstance(raw_tasks, list):
         raise DatasetFormatError(f"{tasks_path}: expected a JSON array of tasks")
     schemas = parse_tables_json(tables_path)
-    db_dir = Path(db_dir)
 
     tasks: list[SpiderTask] = []
     unloadable: list[tuple[str, str]] = []
@@ -182,4 +158,4 @@ def load_dataset(
             unloadable.append((task.task_id, f"database file missing: {db_file}"))
         else:
             tasks.append(task)
-    return LoadedDataset(tasks=tasks, schemas=schemas, db_dir=db_dir, unloadable=unloadable)
+    return LoadedDataset(tasks=tasks, schemas=schemas, unloadable=unloadable)

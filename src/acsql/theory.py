@@ -21,14 +21,14 @@ is exactly zero only at degenerate parameter corners, where the geometric
 sum collapses to p*(1-s)*(z-1) + p.
 
 p, q and s may be numbers or NumPy arrays that broadcast together, so a
-whole (q, s) lattice is one evaluation of `expected_prob`.
+whole (q, s) lattice is one evaluation of `expected_prob`, and
+`ContourGrid` keeps that evaluation's arrays as they are.
 
 `enumerate_prob` recomputes the same quantity by brute-force enumeration
 of every outcome sequence and exists purely as an independent check on
 the closed form.
 """
 
-import csv
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -164,15 +164,16 @@ class ContourGrid:
 
     p: float
     z: int
-    q_values: tuple[float, ...]
-    s_values: tuple[float, ...]
-    prob: tuple[tuple[float, ...], ...]  # prob[i][j] for (q_values[i], s_values[j])
+    q_values: np.ndarray  # 1-D
+    s_values: np.ndarray  # 1-D
+    prob: np.ndarray  # 2-D: prob[i][j] for (q_values[i], s_values[j])
 
     def iter_points(self) -> Iterator[tuple[float, float, float]]:
         """Yield (q, s, prob) row by row: q outer, s inner."""
-        for i, q in enumerate(self.q_values):
-            for j, s in enumerate(self.s_values):
-                yield q, s, self.prob[i][j]
+        s_values = self.s_values.tolist()
+        for q, row in zip(self.q_values.tolist(), self.prob.tolist()):
+            for s, prob in zip(s_values, row):
+                yield q, s, prob
 
 
 def contour_grid(p: float, z: int, resolution: int) -> ContourGrid:
@@ -186,10 +187,7 @@ def contour_grid(p: float, z: int, resolution: int) -> ContourGrid:
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
     axis = np.arange(resolution) / (resolution - 1)
     prob = expected_prob(ACParams(p=p, q=axis[:, None], s=axis[None, :], z=z))
-    values = tuple(axis.tolist())
-    return ContourGrid(
-        p=p, z=z, q_values=values, s_values=values, prob=tuple(map(tuple, prob.tolist()))
-    )
+    return ContourGrid(p=p, z=z, q_values=axis, s_values=axis, prob=prob)
 
 
 def write_contour_csv(grid: ContourGrid, out: TextIO) -> int:
@@ -198,10 +196,6 @@ def write_contour_csv(grid: ContourGrid, out: TextIO) -> int:
     Values carry 12 significant digits so the grid can be re-read without
     visible loss.
     """
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["q", "s", "prob"])
-    n = 0
-    for q, s, prob in grid.iter_points():
-        writer.writerow([f"{q:.12g}", f"{s:.12g}", f"{prob:.12g}"])
-        n += 1
-    return n
+    out.write("q,s,prob\n")
+    out.writelines(f"{q:.12g},{s:.12g},{prob:.12g}\n" for q, s, prob in grid.iter_points())
+    return grid.prob.size

@@ -5,6 +5,7 @@ import sqlite3
 
 import pytest
 
+from acsql.engine import write_trace
 from acsql.spider_data import parse_tables_json, schema_to_ddl
 
 # Spider-format schema entry for the fixture database.
@@ -133,3 +134,11 @@ def spider_layout(tmp_path, battle_db):
     tables_path = tmp_path / "tables.json"
     tables_path.write_text(json.dumps([BATTLE_TABLES_ENTRY]))
     return {"db_dir": db_dir, "tables": tables_path, "root": tmp_path}
+
+
+def write_traces(traces, path, append=False) -> int:
+    """Write traces to a JSON Lines log, appending when asked; returns the count."""
+    with open(path, "a" if append else "w", encoding="utf-8") as f:
+        for trace in traces:
+            write_trace(trace, f)
+    return len(traces)

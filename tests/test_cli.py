@@ -60,9 +60,15 @@ class TestTheoryCommands:
         assert len(lines) == 10202
 
     def test_out_of_range_probability_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["theory", "prob", "--p", "1.5", "--q", "0", "--s", "0", "--z", "2"])
-        assert exc.value.code == 2
+        for argv in (
+            ["theory", "prob", "--p", "1.5", "--q", "0", "--s", "0", "--z", "2"],
+            ["theory", "limit", "--p", "1.5", "--q", "0", "--s", "0"],
+            ["theory", "contour", "--p", "1.5", "--z", "2", "--resolution", "3"],
+            ["simulate", "--p", "1.5", "--q", "0", "--s", "0", "--z", "2", "--trials", "10"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_USAGE, argv
+            assert "error: p must be" in err and out == "", argv
 
 
 class TestSimulateCommand:

@@ -1,5 +1,6 @@
 """Tests for the iteration loop and trace persistence."""
 
+import json
 import random
 
 import pytest
@@ -23,10 +24,10 @@ from acsql.engine import (
     run_ac_loop,
     trace_from_dict,
     trace_to_dict,
-    write_traces,
 )
 from acsql.spider_data import SpiderTask
 from acsql.theory import ACParams, expected_prob
+from conftest import write_traces
 from doubles import ScriptedActor, ScriptedCritic
 
 TONNAGE_QUESTION = (
@@ -164,6 +165,15 @@ def _sample_trace(task_id="t00042"):
     )
 
 
+def _unscorable_lines():
+    """Well-formed JSON records that scoring could not use."""
+    no_iterations = trace_to_dict(_sample_trace("t00009"))
+    no_iterations["iterations"] = []
+    string_verdict = trace_to_dict(_sample_trace("t00009"))
+    string_verdict["iterations"][0]["verdicts"][1]["accepted"] = "false"
+    return [json.dumps(no_iterations), json.dumps(string_verdict)]
+
+
 class TestTracePersistence:
     def test_round_trip_identity(self, tmp_path):
         path = tmp_path / "traces.jsonl"
@@ -198,23 +208,25 @@ class TestTracePersistence:
 
     def test_corrupt_line_skipped_with_warning(self, tmp_path):
         path = tmp_path / "traces.jsonl"
-        write_traces([_sample_trace("t00001")], path)
-        with open(path, "a") as f:
-            f.write("{broken json\n")
-        write_traces([_sample_trace("t00002")], path, append=True)
+        for bad_line in ["{broken json", *_unscorable_lines()]:
+            write_traces([_sample_trace("t00001")], path)
+            with open(path, "a") as f:
+                f.write(bad_line + "\n")
+            write_traces([_sample_trace("t00002")], path, append=True)
 
-        with pytest.warns(TraceWarning) as warned:
-            traces = read_traces(path, strict=False)
-        assert len(traces) == 2
-        assert len(warned) == 1
-        assert ":2:" in str(warned[0].message)
+            with pytest.warns(TraceWarning) as warned:
+                traces = read_traces(path, strict=False)
+            assert len(traces) == 2, bad_line
+            assert len(warned) == 1, bad_line
+            assert ":2:" in str(warned[0].message)
 
     def test_corrupt_line_strict_aborts(self, tmp_path):
         path = tmp_path / "traces.jsonl"
-        path.write_text('{"task_id": "x"}\n')
-        with pytest.raises(TraceFormatError) as err:
-            read_traces(path, strict=True)
-        assert ":1:" in str(err.value)
+        for bad_line in ['{"task_id": "x"}', *_unscorable_lines()]:
+            path.write_text(bad_line + "\n")
+            with pytest.raises(TraceFormatError) as err:
+                read_traces(path, strict=True)
+            assert ":1:" in str(err.value), bad_line
 
     @given(
         question=st.text(min_size=1, max_size=80),

@@ -14,6 +14,7 @@ from acsql.agents import (
     BernoulliActor,
     StochasticCritic,
     Verdict,
+    build_actor_prompt,
 )
 from acsql.engine import (
     ACConfig,
@@ -463,6 +464,21 @@ class TestScoringPass:
         estimate = estimate_pqs(traces, spider_layout["db_dir"])
         assert estimate.n_excluded == 3 and estimate.counts.first_pass_total == 1
 
+    def test_missing_database_excluded(self, spider_layout, opened):
+        db_dir = spider_layout["db_dir"]
+        traces = [
+            _trace("t1", [self.SAME_ROWS], [True], self.GOLD, 2, db_id="gone"),
+            _trace("t2", ["SELECT 1", self.SAME_ROWS], [False, True], self.GOLD, 3),
+            _trace("t3", [self.SAME_ROWS], [True], self.GOLD, 2, db_id="gone"),
+        ]
+        report = evaluate_run(traces, db_dir)
+        assert (report.n_tasks, report.n_excluded, report.ex) == (1, 2, 1.0)
+        estimate = estimate_pqs(traces, db_dir)
+        assert estimate.n_excluded == 2 and estimate.counts.first_pass_total == 1
+        assert estimate.counts.correct_checked == 1 and estimate.counts.wrong_checked == 1
+        assert [db_id for db_id, _ in opened] == ["battle_death", "battle_death"]
+        self._assert_all_closed(opened)
+
     def test_equals_per_pair_scoring_in_every_order(self, spider_layout):
         db_dir = spider_layout["db_dir"]
         _add_database(db_dir, "copy")
@@ -572,26 +588,30 @@ class TestRunTasks:
         assert [task_id for task_id, _ in summary.failed] == ["t00001"]
 
 
-    def test_schema_ddl_once_per_database(self, spider_layout, tmp_path, monkeypatch):
-        battle = _parsed_schemas()["battle_death"]
-        schemas = {"battle_death": battle, "copy": battle}
+    def test_schema_ddl_once_per_database(self, spider_layout, tmp_path):
+        schemas = {
+            "battle_death": _parsed_schemas()["battle_death"],
+            "copy": "CREATE TABLE copy ( a INT );",
+        }
         tasks = [
             SpiderTask(f"t{i:05d}", db_id, f"task {i}?", GOLD)
             for i, db_id in enumerate(["battle_death", "copy", "battle_death", "nowhere", "copy"])
         ]
-        ddl_calls = Counter()
-        real_schema_to_ddl = evalkit.schema_to_ddl
+        actors = {}
 
-        def schema_to_ddl(schemas, db_id):
-            ddl_calls[db_id] += 1
-            return real_schema_to_ddl(schemas, db_id)
+        def actor_factory(task):
+            actors[task.task_id] = ScriptedActor([CORRECT])
+            return actors[task.task_id]
 
-        monkeypatch.setattr(evalkit, "schema_to_ddl", schema_to_ddl)
         summary = run_tasks(
-            tasks, schemas, lambda task: ScriptedActor([CORRECT]), lambda t: None,
+            tasks, schemas, actor_factory, lambda t: None,
             ACConfig(critic_mode="none"), tmp_path / "traces.jsonl", concurrency=2,
         )
-        assert ddl_calls == {"battle_death": 1, "copy": 1, "nowhere": 1}
+        # each prompt carries the DDL of the task's own database
+        for task in tasks:
+            if task.db_id in schemas:
+                prompt = build_actor_prompt(schemas[task.db_id], task.question).render()
+                assert actors[task.task_id].received[0][0].content == prompt
         assert summary.written == 4
         assert summary.failed == [("t00003", "\"unknown db_id 'nowhere'\"")]
 

@@ -111,7 +111,7 @@ class TestLoadDataset:
             ],
         )
         dataset = load_dataset(tasks_path, spider_layout["tables"], spider_layout["db_dir"])
-        assert dataset.n_tasks == 2
+        assert len(dataset.tasks) == 2
         assert dataset.unloadable == []
         assert [t.task_id for t in dataset.tasks] == ["t00000", "t00001"]
         assert dataset.tasks[0].gold_sql == "SELECT count(*) FROM battle"
@@ -128,7 +128,7 @@ class TestLoadDataset:
             ],
         )
         dataset = load_dataset(tasks_path, spider_layout["tables"], spider_layout["db_dir"])
-        assert dataset.n_tasks == 1
+        assert len(dataset.tasks) == 1
         assert len(dataset.unloadable) == 1
         assert dataset.unloadable[0][0] == "t00001"
         assert "ghost_db" in dataset.unloadable[0][1]
@@ -137,7 +137,7 @@ class TestLoadDataset:
     def test_empty_task_array(self, spider_layout):
         tasks_path = _write_tasks(spider_layout["root"] / "tasks.json", [])
         dataset = load_dataset(tasks_path, spider_layout["tables"], spider_layout["db_dir"])
-        assert dataset.tasks == [] and dataset.n_tasks == 0
+        assert dataset.tasks == []
         assert "tasks loaded: 0" in dataset.load_report()
 
     def test_gold_sql_optional(self, spider_layout):
