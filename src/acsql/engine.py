@@ -197,12 +197,21 @@ def trace_from_dict(payload: dict) -> ACTrace:
             raise ValueError("a trace needs at least one iteration")
         if any(not isinstance(v.accepted, bool) for record in iterations for v in record.verdicts):
             raise ValueError("a verdict's 'accepted' must be true or false")
+        last = iterations[-1]
+        if payload["final_sql"] != last.generated_sql:
+            raise ValueError("'final_sql' is not the last iteration's sql")
+        stopped_by = "accepted" if last.overall_accepted else "budget_exhausted"
+        if payload["stopped_by"] != stopped_by:
+            raise ValueError(
+                f"'stopped_by' is {payload['stopped_by']!r} but the last iteration "
+                f"says {stopped_by!r}"
+            )
         return ACTrace(
             task=task,
             config=config,
             iterations=iterations,
-            final_sql=payload["final_sql"],
-            stopped_by=payload["stopped_by"],
+            final_sql=last.generated_sql,
+            stopped_by=stopped_by,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"invalid trace record: {exc}") from exc

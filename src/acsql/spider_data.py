@@ -72,53 +72,65 @@ def parse_tables_json(path: str | Path) -> SchemaIndex:
 
     One CREATE TABLE statement per table in dataset order, columns
     followed by PRIMARY KEY and FOREIGN KEY clauses; the output is
-    deterministic.
+    deterministic. An entry that is not an object, lacks a required key
+    or points outside its own tables or columns raises DatasetFormatError
+    naming the entry.
     """
     raw = _read_json(path)
     if not isinstance(raw, list):
         raise DatasetFormatError(f"{path}: expected a JSON array of database entries")
     index: SchemaIndex = {}
-    for entry in raw:
-        db_id = entry["db_id"]
-        table_names = entry["table_names_original"]
-        column_pairs = entry["column_names_original"]
-        column_types = entry["column_types"]
-        primary_keys = set(entry.get("primary_keys", []))
-        foreign_keys = entry.get("foreign_keys", [])
-
-        columns_by_table: list[list[str]] = [[] for _ in table_names]
-        pk_by_table: list[list[str]] = [[] for _ in table_names]
-        fk_by_table: list[list[str]] = [[] for _ in table_names]
-
-        for col_idx, (table_idx, col_name) in enumerate(column_pairs):
-            if table_idx < 0:  # the "*" pseudo-column
-                continue
-            declared = column_types[col_idx] if col_idx < len(column_types) else "text"
-            surface = _TYPE_SURFACE.get(str(declared).lower(), "TEXT")
-            columns_by_table[table_idx].append(f"{col_name} {surface}")
-            if col_idx in primary_keys:
-                pk_by_table[table_idx].append(col_name)
-
-        for local_idx, foreign_idx in foreign_keys:
-            for idx in (local_idx, foreign_idx):
-                if not 0 <= idx < len(column_pairs) or column_pairs[idx][0] < 0:
-                    raise DatasetFormatError(
-                        f"{db_id}: foreign key references column index {idx} "
-                        "outside the schema"
-                    )
-            local_table, local_col = column_pairs[local_idx]
-            foreign_table, foreign_col = column_pairs[foreign_idx]
-            fk_by_table[local_table].append(
-                f"FOREIGN KEY ( {local_col} ) REFERENCES {table_names[foreign_table]} ({foreign_col})"
-            )
-
-        statements = []
-        for name, columns, pks, fks in zip(table_names, columns_by_table, pk_by_table, fk_by_table):
-            if pks:
-                columns.append(f"PRIMARY KEY ( {', '.join(pks)} )")
-            statements.append(f"CREATE TABLE {name} ( {', '.join(columns + fks)} );")
-        index[db_id] = "\n\n".join(statements)
+    for i, entry in enumerate(raw):
+        try:
+            index[entry["db_id"]] = _entry_ddl(entry)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            db_id = entry.get("db_id") if isinstance(entry, dict) else None
+            raise DatasetFormatError(
+                f"{path}: database entry {i} (db_id {db_id!r}) is malformed: {exc!r}"
+            ) from exc
     return index
+
+
+def _entry_ddl(entry: dict) -> str:
+    db_id = entry["db_id"]
+    table_names = entry["table_names_original"]
+    column_pairs = entry["column_names_original"]
+    column_types = entry["column_types"]
+    primary_keys = set(entry.get("primary_keys", []))
+    foreign_keys = entry.get("foreign_keys", [])
+
+    columns_by_table: list[list[str]] = [[] for _ in table_names]
+    pk_by_table: list[list[str]] = [[] for _ in table_names]
+    fk_by_table: list[list[str]] = [[] for _ in table_names]
+
+    for col_idx, (table_idx, col_name) in enumerate(column_pairs):
+        if table_idx < 0:  # the "*" pseudo-column
+            continue
+        declared = column_types[col_idx] if col_idx < len(column_types) else "text"
+        surface = _TYPE_SURFACE.get(str(declared).lower(), "TEXT")
+        columns_by_table[table_idx].append(f"{col_name} {surface}")
+        if col_idx in primary_keys:
+            pk_by_table[table_idx].append(col_name)
+
+    for local_idx, foreign_idx in foreign_keys:
+        for idx in (local_idx, foreign_idx):
+            if not 0 <= idx < len(column_pairs) or column_pairs[idx][0] < 0:
+                raise DatasetFormatError(
+                    f"{db_id}: foreign key references column index {idx} "
+                    "outside the schema"
+                )
+        local_table, local_col = column_pairs[local_idx]
+        foreign_table, foreign_col = column_pairs[foreign_idx]
+        fk_by_table[local_table].append(
+            f"FOREIGN KEY ( {local_col} ) REFERENCES {table_names[foreign_table]} ({foreign_col})"
+        )
+
+    statements = []
+    for name, columns, pks, fks in zip(table_names, columns_by_table, pk_by_table, fk_by_table):
+        if pks:
+            columns.append(f"PRIMARY KEY ( {', '.join(pks)} )")
+        statements.append(f"CREATE TABLE {name} ( {', '.join(columns + fks)} );")
+    return "\n\n".join(statements)
 
 
 def schema_to_ddl(schemas: SchemaIndex, db_id: str) -> str:

@@ -7,7 +7,7 @@ import pytest
 
 from acsql.agents import CORRECT_SQL, CRITIC_MODES, CompositeCritic
 from acsql.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, RunConfig, _build_factories, build_parser, main
-from acsql.engine import read_traces
+from acsql.engine import TraceWarning, read_traces
 from acsql.spider_data import SpiderTask
 
 
@@ -250,6 +250,36 @@ class TestEvalCommands:
         )
         assert code == 4
         assert all(f"t0000{i}:" in err for i in range(4))
+
+    def test_malformed_tables_entry_is_io_error(self, capsys, micro_dataset):
+        tables_path = micro_dataset["root"] / "tables.json"
+        entry = json.loads(tables_path.read_text())[0]
+        del entry["column_types"]
+        tables_path.write_text(json.dumps([entry]))
+        config_path, _ = _bernoulli_config(micro_dataset, "never.jsonl")
+        code, out, err = run_cli(
+            capsys, "eval", "run", "--config", str(config_path), "--mode", "none", "--seed", "3"
+        )
+        assert code == EXIT_IO
+        assert out == ""
+        assert "database entry 0 (db_id 'battle_death')" in err
+
+    def test_trace_outcome_mismatch_skipped_or_strict_io_error(self, capsys, micro_dataset):
+        config_path, out_path = _bernoulli_config(micro_dataset, "tampered.jsonl")
+        run_cli(capsys, "eval", "run", "--config", str(config_path), "--mode", "none", "--seed", "3")
+        with open(out_path, encoding="utf-8") as f:
+            records = [json.loads(line) for line in f]
+        records[0]["stopped_by"] = "accepted"
+        with open(out_path, "w", encoding="utf-8") as f:
+            f.writelines(json.dumps(record) + "\n" for record in records)
+        argv = ["eval", "report", "--traces", out_path, "--db-dir", micro_dataset["db_dir"]]
+        with pytest.warns(TraceWarning, match=":1:"):
+            code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["n_tasks"] == 3
+        code, out, err = run_cli(capsys, *argv, "--strict")
+        assert code == EXIT_IO
+        assert out == "" and "stopped_by" in err
 
     def test_ablation_bad_mode_rejected(self, capsys, micro_dataset):
         config_path, _ = _bernoulli_config(micro_dataset, "x.jsonl")

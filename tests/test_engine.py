@@ -228,6 +228,23 @@ class TestTracePersistence:
                 read_traces(path, strict=True)
             assert ":1:" in str(err.value), bad_line
 
+    def test_outcome_disagreeing_with_iterations_refused(self, tmp_path):
+        path = tmp_path / "traces.jsonl"
+        good = trace_to_dict(_sample_trace("t00001"))
+        bad_records = [
+            {**good, "final_sql": "SELECT 2"},
+            {**good, "stopped_by": "budget_exhausted"},
+            {**good, "iterations": good["iterations"][:1], "final_sql": "SELECT 2"},
+        ]
+        for bad in bad_records:
+            with pytest.raises(TraceFormatError):
+                trace_from_dict(bad)
+            path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+            with pytest.warns(TraceWarning, match=":2:"):
+                assert read_traces(path) == [_sample_trace("t00001")]
+            with pytest.raises(TraceFormatError, match=":2:"):
+                read_traces(path, strict=True)
+
     @given(
         question=st.text(min_size=1, max_size=80),
         sqls=st.lists(st.text(min_size=1, max_size=120), min_size=1, max_size=4),

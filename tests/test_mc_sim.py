@@ -1,10 +1,14 @@
 """Tests for the Monte-Carlo simulator."""
 
 import math
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from acsql import mc_sim
 from acsql.mc_sim import SimulationConfig, agreement_bound, simulate
 from acsql.theory import ACParams, expected_prob
 
@@ -106,3 +110,70 @@ def test_json_fields():
         "abs_difference",
     }
     assert payload["params"] == {"p": 0.3, "q": 0.2, "s": 0.1, "z": 2}
+
+
+def _single_block_estimate(params, trials, seed, repeat):
+    """The simulator's reference algorithm: one (trials, 2z-1) block per repeat."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, repeat])))
+    p, q, s, z = params.p, params.q, params.s, params.z
+    draws = rng.random((trials, 2 * z - 1))
+    correct = draws[:, 0::2] < p
+    if z == 1:
+        return float(correct[:, 0].mean())
+    verdicts = draws[:, 1::2]
+    checked = correct[:, : z - 1]
+    accepted = np.where(checked, verdicts >= s, verdicts < q)
+    first_accept = accepted.argmax(axis=1)
+    emitted_correct = np.where(
+        accepted.any(axis=1),
+        checked[np.arange(trials), first_accept],
+        correct[:, z - 1],
+    )
+    return float(emitted_correct.mean())
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3])
+@pytest.mark.parametrize("z", [1, 2, 7, 20])
+def test_chunked_pool_matches_single_block_bit_for_bit(monkeypatch, z, cpus):
+    if cpus is not None:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    chunk = mc_sim._CHUNK_ROWS
+    params = ACParams(0.37, 0.61, 0.23, z)
+    for trials in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        config = SimulationConfig(params, trials=trials, repeats=3, seed=2024 + z)
+        expected = tuple(_single_block_estimate(params, trials, config.seed, r) for r in range(3))
+        report = simulate(config)
+        assert report.per_repeat_estimates == expected, trials
+        assert report.estimated_accuracy == sum(expected) / 3, trials
+
+
+def test_peak_allocation_does_not_grow_with_trials():
+    config = SimulationConfig(ACParams(0.5, 0.3, 0.2, 20), trials=1_000_000, repeats=2, seed=1)
+    tracemalloc.start()
+    try:
+        simulate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A single (trials, 2z-1) float64 block would be 312 MB here.
+    assert peak < 64 * 2**20
+
+
+def test_failing_repeat_cancels_pending_repeats_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = []
+    real_rng = mc_sim._repeat_rng
+
+    def failing_rng(seed, repeat):
+        started.append(repeat)
+        if repeat == 0:
+            raise RuntimeError("repeat 0 failed")
+        return real_rng(seed, repeat)
+
+    monkeypatch.setattr(mc_sim, "_repeat_rng", failing_rng)
+    threads_before = threading.active_count()
+    config = SimulationConfig(ACParams(0.5, 0.3, 0.2, 5), trials=200_000, repeats=40, seed=1)
+    with pytest.raises(RuntimeError, match="repeat 0 failed"):
+        simulate(config)
+    assert threading.active_count() == threads_before
+    assert len(started) < config.repeats

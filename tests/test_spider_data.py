@@ -85,6 +85,22 @@ class TestParseTables:
         with pytest.raises(DatasetFormatError):
             parse_tables_json(tables)
 
+    @pytest.mark.parametrize(
+        "make_entry",
+        [
+            lambda e: {k: v for k, v in e.items() if k != "column_types"},
+            lambda e: {**e, "column_names_original": [*e["column_names_original"], [3, "extra"]]},
+            lambda e: ["battle_death", e["table_names_original"]],
+        ],
+        ids=["missing_key", "table_index_out_of_range", "not_an_object"],
+    )
+    def test_malformed_entry_names_the_entry(self, tmp_path, make_entry):
+        tables = tmp_path / "tables.json"
+        tables.write_text(json.dumps([BATTLE_TABLES_ENTRY, make_entry(BATTLE_TABLES_ENTRY)]))
+        with pytest.raises(DatasetFormatError) as err:
+            parse_tables_json(tables)
+        assert "tables.json: database entry 1" in str(err.value)
+
     def test_malformed_json_names_path(self, tmp_path):
         tables = tmp_path / "tables.json"
         tables.write_text("{not json")
