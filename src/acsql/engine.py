@@ -55,6 +55,11 @@ class ACConfig:
                 f"critic_mode must be one of {tuple(CRITIC_MODES)}, got {self.critic_mode!r}"
             )
 
+    @property
+    def budget(self) -> int:
+        """Most generations one run makes; "none" emits its first draft unreviewed."""
+        return 1 if self.critic_mode == "none" else self.max_iterations
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -91,7 +96,7 @@ def run_ac_loop(
     ActorError; critic transport problems are the critic's own concern
     (the composite critic converts them to reject verdicts).
     """
-    budget = 1 if config.critic_mode == "none" else config.max_iterations
+    budget = config.budget
     messages = build_actor_prompt(schema_ddl, task.question).as_messages()
     iterations: list[IterationRecord] = []
     stopped_by = "budget_exhausted"
@@ -197,6 +202,17 @@ def trace_from_dict(payload: dict) -> ACTrace:
             raise ValueError("a trace needs at least one iteration")
         if any(not isinstance(v.accepted, bool) for record in iterations for v in record.verdicts):
             raise ValueError("a verdict's 'accepted' must be true or false")
+        # Refuse what run_ac_loop cannot produce: it numbers iterations from
+        # 1, stops at the first accept and never exceeds its budget.
+        if [record.index for record in iterations] != list(range(1, len(iterations) + 1)):
+            raise ValueError("iteration indices are not 1..n in order")
+        if any(record.overall_accepted for record in iterations[:-1]):
+            raise ValueError("an iteration before the last was accepted")
+        if len(iterations) > config.budget:
+            raise ValueError(
+                f"{len(iterations)} iterations exceed the budget of {config.budget} "
+                f"(mode {config.critic_mode!r})"
+            )
         last = iterations[-1]
         if payload["final_sql"] != last.generated_sql:
             raise ValueError("'final_sql' is not the last iteration's sql")

@@ -5,14 +5,23 @@ with {model, messages, temperature, max_tokens}) because that is what
 both commercial endpoints and local open-model servers expose. API keys
 are read from an environment variable at call time and never logged or
 persisted.
+
+The client is built on the standard library (`urllib.request`) and opens
+one connection per call. Proxies come from HTTP_PROXY/HTTPS_PROXY and
+NO_PROXY, read at call time; HTTPS verifies against the system CA store
+(or SSL_CERT_FILE).
 """
 
+import http.client
+import json
 import logging
+import math
 import os
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
-
-import requests
 
 logger = logging.getLogger(__name__)
 
@@ -57,10 +66,12 @@ class EndpointConfig:
     retry_backoff: tuple[float, ...] = (0.5, 1.0, 2.0)
 
     def __post_init__(self) -> None:
-        if not self.base_url:
-            raise ValueError("base_url must be non-empty")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        # urllib would also open ftp:// and file:// URLs; only HTTP is an endpoint.
+        if urllib.parse.urlsplit(self.base_url).scheme not in ("http", "https"):
+            raise ValueError(f"base_url must be an http(s) URL, got {self.base_url!r}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            # The request body is strict JSON, which has no NaN or Infinity.
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if self.max_retries < 0:
@@ -72,10 +83,9 @@ def _backoff_delay(config: EndpointConfig, attempt: int) -> float:
     return schedule[min(attempt, len(schedule) - 1)]
 
 
-def _extract_content(resp: requests.Response) -> str:
-    body = resp.text
+def _extract_content(body: str) -> str:
     try:
-        content = resp.json()["choices"][0]["message"]["content"]
+        content = json.loads(body)["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise ResponseParseError(f"malformed completion response: {exc}", body) from exc
     if not isinstance(content, str):
@@ -103,34 +113,41 @@ def complete(config: EndpointConfig, messages: list[ChatMessage]) -> str:
         "temperature": config.temperature,
         "max_tokens": config.max_tokens,
     }
+    data = json.dumps(payload, allow_nan=False).encode()
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(config.api_key_env_var)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
+
+    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
 
     last_error: Exception | None = None
     for attempt in range(config.max_retries + 1):
         if attempt > 0:
             time.sleep(_backoff_delay(config, attempt - 1))
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=config.timeout)
-        except requests.RequestException as exc:
+            # A fresh opener reads the proxy environment on every call;
+            # urlopen's shared opener would keep the first call's proxies.
+            try:
+                resp = urllib.request.build_opener().open(request, timeout=config.timeout)
+            except urllib.error.HTTPError as exc:
+                resp = exc  # a non-2xx reply still carries its status and body
+            with resp:
+                status = resp.status
+                body = resp.read().decode("utf-8", errors="replace")
+        except (OSError, http.client.HTTPException) as exc:
             last_error = exc
             logger.debug("completion attempt %d failed: %s", attempt + 1, exc)
             continue
-        if resp.status_code in (401, 403):
-            raise AuthenticationError(
-                f"endpoint rejected credentials (HTTP {resp.status_code})"
-            )
-        if resp.status_code in _RETRYABLE_STATUS:
-            last_error = TransportError(f"HTTP {resp.status_code}")
-            logger.debug(
-                "completion attempt %d got retryable HTTP %d", attempt + 1, resp.status_code
-            )
+        if status in (401, 403):
+            raise AuthenticationError(f"endpoint rejected credentials (HTTP {status})")
+        if status in _RETRYABLE_STATUS:
+            last_error = TransportError(f"HTTP {status}")
+            logger.debug("completion attempt %d got retryable HTTP %d", attempt + 1, status)
             continue
-        if resp.status_code != 200:
-            raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        return _extract_content(resp)
+        if status != 200:
+            raise TransportError(f"HTTP {status}: {body[:200]}")
+        return _extract_content(body)
 
     raise TransportError(
         f"completion failed after {config.max_retries + 1} attempts: {last_error}"

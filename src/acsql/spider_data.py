@@ -72,8 +72,9 @@ def parse_tables_json(path: str | Path) -> SchemaIndex:
 
     One CREATE TABLE statement per table in dataset order, columns
     followed by PRIMARY KEY and FOREIGN KEY clauses; the output is
-    deterministic. An entry that is not an object, lacks a required key
-    or points outside its own tables or columns raises DatasetFormatError
+    deterministic. An entry that is not an object, lacks a required key,
+    has a non-string db_id or points outside its own tables or columns
+    (any negative table index but the -1 of "*") raises DatasetFormatError
     naming the entry.
     """
     raw = _read_json(path)
@@ -93,6 +94,8 @@ def parse_tables_json(path: str | Path) -> SchemaIndex:
 
 def _entry_ddl(entry: dict) -> str:
     db_id = entry["db_id"]
+    if not isinstance(db_id, str):
+        raise TypeError(f"db_id must be a string, got {db_id!r}")
     table_names = entry["table_names_original"]
     column_pairs = entry["column_names_original"]
     column_types = entry["column_types"]
@@ -104,8 +107,10 @@ def _entry_ddl(entry: dict) -> str:
     fk_by_table: list[list[str]] = [[] for _ in table_names]
 
     for col_idx, (table_idx, col_name) in enumerate(column_pairs):
-        if table_idx < 0:  # the "*" pseudo-column
+        if table_idx == -1:  # the "*" pseudo-column
             continue
+        if table_idx < 0:  # would index the table list from its end
+            raise IndexError(f"column {col_idx} has table index {table_idx}")
         declared = column_types[col_idx] if col_idx < len(column_types) else "text"
         surface = _TYPE_SURFACE.get(str(declared).lower(), "TEXT")
         columns_by_table[table_idx].append(f"{col_name} {surface}")
@@ -115,10 +120,7 @@ def _entry_ddl(entry: dict) -> str:
     for local_idx, foreign_idx in foreign_keys:
         for idx in (local_idx, foreign_idx):
             if not 0 <= idx < len(column_pairs) or column_pairs[idx][0] < 0:
-                raise DatasetFormatError(
-                    f"{db_id}: foreign key references column index {idx} "
-                    "outside the schema"
-                )
+                raise IndexError(f"foreign key references column index {idx} outside the schema")
         local_table, local_col = column_pairs[local_idx]
         foreign_table, foreign_col = column_pairs[foreign_idx]
         fk_by_table[local_table].append(

@@ -171,7 +171,25 @@ def _unscorable_lines():
     no_iterations["iterations"] = []
     string_verdict = trace_to_dict(_sample_trace("t00009"))
     string_verdict["iterations"][0]["verdicts"][1]["accepted"] = "false"
-    return [json.dumps(no_iterations), json.dumps(string_verdict)]
+    early_accept = trace_to_dict(_sample_trace("t00009"))
+    early_accept["iterations"][0]["verdicts"][1]["accepted"] = True
+    index_gap = trace_to_dict(_sample_trace("t00009"))
+    index_gap["iterations"][1]["index"] = 7
+    over_budget = trace_to_dict(_sample_trace("t00009"))
+    over_budget["config"]["max_iterations"] = 1
+    one_shot_mode = trace_to_dict(_sample_trace("t00009"))
+    one_shot_mode["config"]["critic_mode"] = "none"
+    return [
+        json.dumps(record)
+        for record in (
+            no_iterations,
+            string_verdict,
+            early_accept,
+            index_gap,
+            over_budget,
+            one_shot_mode,
+        )
+    ]
 
 
 class TestTracePersistence:

@@ -1,5 +1,7 @@
 """Offline tests for the chat-completion client against a local stub."""
 
+import time
+
 import pytest
 
 from acsql.llm_client import (
@@ -18,6 +20,18 @@ FAST_BACKOFF = (0.01,)
 @pytest.fixture
 def stub():
     server = StubLLMServer().start()
+    yield server
+    server.stop()
+
+
+@pytest.fixture
+def proxy(monkeypatch):
+    """A second stub, set as HTTP_PROXY; the proxy environment is otherwise empty."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    server = StubLLMServer().start()
+    monkeypatch.setenv("HTTP_PROXY", server.base_url)
     yield server
     server.stop()
 
@@ -69,6 +83,39 @@ def test_transport_error_after_exhaustion(stub):
     with pytest.raises(TransportError):
         complete(_config(stub, max_retries=2), [ChatMessage("user", "x")])
     assert len(stub.requests) == 3  # 1 + max_retries
+
+
+def test_timeout_is_retried_then_raises(stub):
+    stub.handler = lambda body: time.sleep(1.0) or "late"
+    with pytest.raises(TransportError):
+        complete(_config(stub, max_retries=1, timeout=0.3), [ChatMessage("user", "x")])
+    assert len(stub.requests) == 2  # 1 + max_retries
+
+
+def test_other_client_error_is_terminal_and_names_the_body(stub):
+    stub.handler = lambda body: (400, "context length exceeded")
+    with pytest.raises(TransportError, match="context length exceeded") as exc_info:
+        complete(_config(stub), [ChatMessage("user", "x")])
+    assert "HTTP 400" in str(exc_info.value)
+    assert len(stub.requests) == 1
+
+
+def test_http_proxy_from_environment(proxy):
+    # A loopback target with nothing listening: a client that ignored the
+    # proxy would fail locally instead of looking a name up.
+    proxy.handler = lambda body: "via proxy"
+    config = EndpointConfig(
+        base_url="http://127.0.0.2:9/v1", model_name="m", max_retries=0, timeout=5.0
+    )
+    assert complete(config, [ChatMessage("user", "x")]) == "via proxy"
+    assert [r["path"] for r in proxy.requests] == ["http://127.0.0.2:9/v1/chat/completions"]
+
+
+def test_no_proxy_bypasses_the_proxy(stub, proxy, monkeypatch):
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    assert complete(_config(stub), [ChatMessage("user", "x")]) == "ok"
+    assert len(stub.requests) == 1
+    assert proxy.requests == []
 
 
 def test_auth_failure_is_terminal(stub):
@@ -123,3 +170,18 @@ def test_config_validation():
         EndpointConfig(base_url="http://x", model_name="m", temperature=-1)
     with pytest.raises(ValueError):
         EndpointConfig(base_url="http://x", model_name="m", max_tokens=0)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(temperature=float("nan")),
+        dict(temperature=float("inf")),
+        dict(base_url="localhost:8000/v1"),
+        dict(base_url="file:///etc/v1"),
+        dict(base_url="ftp://example.org/v1"),
+    ],
+)
+def test_config_refuses_what_the_client_cannot_send(overrides):
+    with pytest.raises(ValueError):
+        EndpointConfig(**{"base_url": "http://x", "model_name": "m", **overrides})

@@ -91,8 +91,18 @@ class TestParseTables:
             lambda e: {k: v for k, v in e.items() if k != "column_types"},
             lambda e: {**e, "column_names_original": [*e["column_names_original"], [3, "extra"]]},
             lambda e: ["battle_death", e["table_names_original"]],
+            lambda e: {**e, "column_names_original": [*e["column_names_original"], [-3, "stars"]]},
+            lambda e: {**e, "db_id": 5},
+            lambda e: {**e, "foreign_keys": [[7, 99]]},
         ],
-        ids=["missing_key", "table_index_out_of_range", "not_an_object"],
+        ids=[
+            "missing_key",
+            "table_index_out_of_range",
+            "not_an_object",
+            "negative_table_index",
+            "db_id_not_a_string",
+            "dangling_foreign_key",
+        ],
     )
     def test_malformed_entry_names_the_entry(self, tmp_path, make_entry):
         tables = tmp_path / "tables.json"
