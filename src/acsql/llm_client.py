@@ -119,17 +119,19 @@ def complete(config: EndpointConfig, messages: list[ChatMessage]) -> str:
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
 
-    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+    # A fresh opener reads the proxy environment on every call;
+    # urlopen's shared opener would keep the first call's proxies.
+    opener = urllib.request.build_opener()
 
     last_error: Exception | None = None
     for attempt in range(config.max_retries + 1):
         if attempt > 0:
             time.sleep(_backoff_delay(config, attempt - 1))
+        # A new Request per attempt: a proxy handler rewrites the one it opens.
+        request = urllib.request.Request(url, data=data, headers=headers, method="POST")
         try:
-            # A fresh opener reads the proxy environment on every call;
-            # urlopen's shared opener would keep the first call's proxies.
             try:
-                resp = urllib.request.build_opener().open(request, timeout=config.timeout)
+                resp = opener.open(request, timeout=config.timeout)
             except urllib.error.HTTPError as exc:
                 resp = exc  # a non-2xx reply still carries its status and body
             with resp:

@@ -1,5 +1,7 @@
 """Offline tests for the chat-completion client against a local stub."""
 
+import socketserver
+import threading
 import time
 
 import pytest
@@ -24,12 +26,16 @@ def stub():
     server.stop()
 
 
-@pytest.fixture
-def proxy(monkeypatch):
-    """A second stub, set as HTTP_PROXY; the proxy environment is otherwise empty."""
+def _clear_proxy_env(monkeypatch):
     for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
+
+
+@pytest.fixture
+def proxy(monkeypatch):
+    """A second stub, set as HTTP_PROXY; the proxy environment is otherwise empty."""
+    _clear_proxy_env(monkeypatch)
     server = StubLLMServer().start()
     monkeypatch.setenv("HTTP_PROXY", server.base_url)
     yield server
@@ -109,6 +115,50 @@ def test_http_proxy_from_environment(proxy):
     )
     assert complete(config, [ChatMessage("user", "x")]) == "via proxy"
     assert [r["path"] for r in proxy.requests] == ["http://127.0.0.2:9/v1/chat/completions"]
+
+
+class _TunnelRecorder(socketserver.StreamRequestHandler):
+    """Answers CONNECT with 200, records the first tunnelled byte, then hangs up."""
+
+    def handle(self):
+        request_line = self.rfile.readline().decode("latin-1").split()
+        while self.rfile.readline() not in (b"\r\n", b"\n", b""):
+            pass
+        self.wfile.write(b"HTTP/1.1 200 Connection established\r\n\r\n")
+        self.server.attempts.append((request_line[:2], self.rfile.read(1)))
+
+
+@pytest.fixture
+def connect_proxy(monkeypatch):
+    """A CONNECT-only proxy, set as HTTPS_PROXY; records one entry per tunnel."""
+    _clear_proxy_env(monkeypatch)
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _TunnelRecorder)
+    server.daemon_threads = True
+    server.attempts = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    monkeypatch.setenv("HTTPS_PROXY", f"http://{host}:{port}")
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def test_https_retries_stay_tunnelled(connect_proxy):
+    # Every attempt, retries included, must CONNECT and then start TLS
+    # (a ClientHello record opens with byte 0x16), never send the request
+    # in clear text through the tunnel.
+    config = EndpointConfig(
+        base_url="https://127.0.0.2:9/v1",
+        model_name="m",
+        max_retries=2,
+        retry_backoff=FAST_BACKOFF,
+        timeout=5.0,
+    )
+    with pytest.raises(TransportError):
+        complete(config, [ChatMessage("user", "x")])
+    assert connect_proxy.attempts == [(["CONNECT", "127.0.0.2:9"], b"\x16")] * 3
 
 
 def test_no_proxy_bypasses_the_proxy(stub, proxy, monkeypatch):
