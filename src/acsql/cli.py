@@ -8,7 +8,9 @@ Subcommands:
                                 dataset, scoring, and rate estimation
 
 Endpoint API keys come only from environment variables (default
-LLM_API_KEY); config files and flags never carry secrets.
+LLM_API_KEY); config files and flags never carry secrets. `eval run` and
+`eval ablation` check every requested mode's settings before the dataset
+is read, so a bad one exits 2 with no trace file written.
 """
 
 import argparse
@@ -16,9 +18,8 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
 
 from . import evalkit, mc_sim, theory
 from .agents import (
@@ -56,47 +57,50 @@ class RunConfig:
     actor: dict = field(default_factory=dict)
     critic: dict = field(default_factory=dict)
 
-    def validate(self, modes: Sequence[str]) -> None:
-        """Check the settings needed to run each of the given critic modes."""
-        for name in ("tasks", "tables", "db_dir"):
-            if not getattr(self, name):
-                raise UsageError(f"missing required setting: {name}")
-        if self.max_iterations < 1:
-            raise UsageError("max-iterations must be >= 1")
-        actor_kind = self.actor.get("kind", "llm")
-        if actor_kind == "llm" and not self.actor.get("base_url"):
-            raise UsageError("actor endpoint required (--actor-base-url or config)")
-        if actor_kind == "bernoulli" and self.seed is None:
-            raise UsageError("--seed is required with a bernoulli actor")
-        critic_kind = self.critic.get("kind", "llm")
-        for mode in modes:
-            if mode not in CRITIC_MODES:
-                raise UsageError(f"invalid mode {mode!r}")
-            if "llm" not in CRITIC_MODES[mode]:
-                continue
-            if critic_kind == "llm" and not (
-                self.critic.get("base_url") or self.actor.get("base_url")
-            ):
-                raise UsageError(f"mode {mode!r} requires an LLM critic endpoint")
-            if critic_kind == "stochastic" and self.seed is None:
-                raise UsageError("--seed is required with a stochastic critic")
 
-
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
+# Config keys of each actor and critic kind; an `llm` agent's keys name the
+# EndpointConfig fields they set (EndpointConfig holds defaults, checks values).
+_ENDPOINT_FIELDS = {
+    "base_url": "base_url", "model": "model_name", "api_key_env": "api_key_env_var",
+    "temperature": "temperature", "max_tokens": "max_tokens", "timeout": "timeout",
+    "max_retries": "max_retries", "retry_backoff": "retry_backoff",
+}
+_AGENT_KEYS = {
+    "actor": {"llm": tuple(_ENDPOINT_FIELDS), "bernoulli": ("p",)},
+    "critic": {"llm": tuple(_ENDPOINT_FIELDS), "stochastic": ("q", "s")},
+}
+
+
+def _agent_settings(config: RunConfig, role: str) -> tuple[dict, tuple[float, ...] | None]:
+    """The actor's or critic's settings, and a seeded double's probabilities (else None)."""
+    settings = getattr(config, role)
+    kind = settings.get("kind", "llm")
+    keys = _AGENT_KEYS[role].get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise UsageError(f"unknown {role} kind {kind!r}")
+    for key in sorted(settings.keys() - {"kind", *keys}):
+        raise UsageError(f"unknown key {key!r} in {kind} {role} settings")
+    if kind == "llm":
+        return settings, None
+    if config.seed is None:
+        raise UsageError(f"--seed is required with a {kind} {role}")
+    for name in keys:
+        if not isinstance(settings.get(name), (int, float)):  # missing, quoted or a list
+            raise UsageError(f"{kind} {role} needs a number {name}, got {settings.get(name)!r}")
+        theory.check_prob(settings[name], name)
+    return settings, tuple(float(settings[name]) for name in keys)
+
+
 def _endpoint_from(settings: dict, default_temperature: float) -> EndpointConfig:
-    return EndpointConfig(
-        base_url=settings["base_url"],
-        model_name=settings.get("model", "default"),
-        api_key_env_var=settings.get("api_key_env", "LLM_API_KEY"),
-        temperature=settings.get("temperature", default_temperature),
-        max_tokens=settings.get("max_tokens", 512),
-        timeout=settings.get("timeout", 60.0),
-        max_retries=settings.get("max_retries", 3),
-        retry_backoff=tuple(settings.get("retry_backoff", (0.5, 1.0, 2.0))),
-    )
+    kwargs = {"model_name": "default", "temperature": default_temperature}
+    for key, value in settings.items():
+        if key != "kind":
+            kwargs[_ENDPOINT_FIELDS[key]] = tuple(value) if key == "retry_backoff" else value
+    return EndpointConfig(**kwargs)
 
 
 def _stable_rng(seed: int, task_id: str, role: str) -> random.Random:
@@ -105,44 +109,39 @@ def _stable_rng(seed: int, task_id: str, role: str) -> random.Random:
 
 
 def _build_factories(config: RunConfig, mode: str):
-    """Actor/critic factories for one critic mode; one pair of agents per task."""
-    actor_settings = dict(config.actor)
-    actor_kind = actor_settings.get("kind", "llm")
-    if actor_kind == "llm":
+    """Check one critic mode and its agents' settings; return per-task agent factories."""
+    if not isinstance(mode, str) or mode not in CRITIC_MODES:
+        raise UsageError(f"invalid mode {mode!r}")
+    actor_settings, actor_probs = _agent_settings(config, "actor")
+    endpoint = None
+    if actor_probs is None:
+        if not actor_settings.get("base_url"):
+            raise UsageError("actor endpoint required (--actor-base-url or config)")
         # Nonzero sampling temperature by default: a deterministic actor
         # would regenerate the identical SQL after every reject.
         endpoint = _endpoint_from(actor_settings, default_temperature=0.7)
 
-        def actor_factory(task):
+    def actor_factory(task):
+        if endpoint is not None:
             return LLMActor(endpoint)
+        return BernoulliActor(*actor_probs, _stable_rng(config.seed, task.task_id, "actor"))
 
-    elif actor_kind == "bernoulli":
-
-        def actor_factory(task):
-            return BernoulliActor(
-                float(actor_settings["p"]), _stable_rng(config.seed, task.task_id, "actor")
-            )
-
-    else:
-        raise UsageError(f"unknown actor kind {actor_kind!r}")
-
-    critic_settings = dict(config.critic)
-    critic_kind = critic_settings.get("kind", "llm")
+    critic_settings, critic_probs = _agent_settings(config, "critic")
     components = CRITIC_MODES[mode]
     llm_judge = None
-    if critic_kind == "llm" and "llm" in components:
-        judge_settings = critic_settings if critic_settings.get("base_url") else actor_settings
+    if critic_probs is None and "llm" in components:
+        judge_settings = critic_settings
+        if not critic_settings.get("base_url"):  # the actor's endpoint, the critic's own keys
+            judge_settings = {**actor_settings, **critic_settings}
+        if not judge_settings.get("base_url"):
+            raise UsageError(f"mode {mode!r} requires an LLM critic endpoint")
         llm_judge = LLMJudge(_endpoint_from(judge_settings, default_temperature=0.0))
 
     def critic_factory(task):
         if not components:
             return None
-        if critic_kind == "stochastic":
-            return StochasticCritic(
-                float(critic_settings["q"]),
-                float(critic_settings["s"]),
-                _stable_rng(config.seed, task.task_id, "critic"),
-            )
+        if critic_probs is not None:
+            return StochasticCritic(*critic_probs, _stable_rng(config.seed, task.task_id, "critic"))
         database = None
         if "execution" in components:
             database = database_path(config.db_dir, task.db_id)
@@ -194,6 +193,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_run_config(args) -> RunConfig:
+    """Merge the JSON config and the flags; check the settings every mode shares."""
     config = RunConfig()
     if getattr(args, "config", None):
         try:
@@ -201,35 +201,42 @@ def _load_run_config(args) -> RunConfig:
                 payload = json.load(f)
         except (OSError, ValueError) as exc:
             raise DatasetFormatError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise UsageError(f"config {args.config} must hold a JSON object")
         for key, value in payload.items():
             if not hasattr(config, key):
                 raise UsageError(f"unknown config key {key!r}")
             setattr(config, key, value)
-    for name in (
-        "tasks", "tables", "db_dir", "out", "mode", "max_iterations", "concurrency",
-        "exec_timeout", "seed",
-    ):
+    for name in (f.name for f in fields(RunConfig)):  # a flag overrides its namesake
         value = getattr(args, name, None)
         if value is not None:
             setattr(config, name, value)
-    for prefix, target in (("actor", config.actor), ("critic", config.critic)):
+    for role in ("actor", "critic"):
+        settings = getattr(config, role)
+        if not isinstance(settings, dict):
+            raise UsageError(f"{role} settings must be a JSON object, got {settings!r}")
         for key in ("base_url", "model", "api_key_env"):
-            value = getattr(args, f"{prefix}_{key}", None)
+            value = getattr(args, f"{role}_{key}", None)
             if value is not None:
-                target[key] = value
+                settings[key] = value
+    for name in ("tasks", "tables", "db_dir"):
+        if not getattr(config, name):
+            raise UsageError(f"missing required setting: {name}")
+    for name in ("max_iterations", "concurrency"):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise UsageError(f"{name.replace('_', '-')} must be an integer >= 1, got {value!r}")
     return config
 
 
 def _run_mode(
-    config: RunConfig, dataset: LoadedDataset, mode: str, out_path: str | Path
+    config: RunConfig, dataset: LoadedDataset, mode: str, factories: tuple, out_path: str | Path
 ) -> evalkit.RunSummary:
     """Run one critic mode over the dataset; failed task ids go to stderr."""
-    actor_factory, critic_factory = _build_factories(config, mode)
     summary = evalkit.run_tasks(
         dataset.tasks,
         dataset.schemas,
-        actor_factory,
-        critic_factory,
+        *factories,
         ACConfig(max_iterations=config.max_iterations, critic_mode=mode),
         out_path,
         concurrency=config.concurrency,
@@ -258,9 +265,9 @@ def _cmd_eval(args) -> int:
         config = _load_run_config(args)
         if not config.out:
             raise UsageError("missing required setting: out")
-        config.validate([config.mode])
+        factories = _build_factories(config, config.mode)
         dataset = _load_run_dataset(config)
-        summary = _run_mode(config, dataset, config.mode, config.out)
+        summary = _run_mode(config, dataset, config.mode, factories, config.out)
         print(
             f"traces written: {summary.written}, resumed: {summary.resumed}, "
             f"failed: {len(summary.failed)}"
@@ -272,11 +279,15 @@ def _cmd_eval(args) -> int:
         modes = [m.strip() for m in args.modes.split(",") if m.strip()]
         if not modes:
             raise UsageError("--modes must name at least one mode")
-        config.validate(modes)
+        if len(set(modes)) < len(modes):
+            raise UsageError(f"--modes names a mode more than once: {args.modes}")
+        factories = {mode: _build_factories(config, mode) for mode in modes}
         dataset = _load_run_dataset(config)
         summaries = []
         reports = evalkit.run_ablation(
-            lambda mode, out_path: summaries.append(_run_mode(config, dataset, mode, out_path)),
+            lambda mode, out_path: summaries.append(
+                _run_mode(config, dataset, mode, factories[mode], out_path)
+            ),
             modes,
             args.out_dir,
             config.db_dir,
@@ -375,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tasks")
         sp.add_argument("--tables")
         sp.add_argument("--db-dir", dest="db_dir")
-        sp.add_argument("--max-iterations", dest="max_iterations", type=_positive_int)
-        sp.add_argument("--concurrency", type=_positive_int)
+        sp.add_argument("--max-iterations", dest="max_iterations", type=int)
+        sp.add_argument("--concurrency", type=int)
         sp.add_argument("--exec-timeout", dest="exec_timeout", type=float)
         sp.add_argument("--seed", type=int)
         sp.add_argument("--actor-base-url", dest="actor_base_url")
@@ -410,10 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DatasetFormatError, TraceFormatError, DatabaseUnavailable, OSError) as exc:

@@ -20,7 +20,6 @@ execution_accuracy scores one pair with the same comparison code.
 import itertools
 import re
 import sqlite3
-import threading
 from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
@@ -412,8 +411,6 @@ def run_tasks(
     pending = [t for t in tasks if t.task_id not in done]
     summary.resumed = len(tasks) - len(pending)
 
-    write_lock = threading.Lock()
-
     def run_one(task: SpiderTask) -> ACTrace:
         ddl = schema_to_ddl(schemas, task.db_id)
         critic = None if config.critic_mode == "none" else critic_factory(task)
@@ -429,10 +426,9 @@ def run_tasks(
                 except (ActorError, DatabaseUnavailable, KeyError) as exc:
                     summary.failed.append((task.task_id, str(exc)))
                     continue
-                with write_lock:
-                    write_trace(trace, out)
-                    out.flush()
-                    summary.written += 1
+                write_trace(trace, out)
+                out.flush()
+                summary.written += 1
     return summary
 
 

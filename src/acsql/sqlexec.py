@@ -25,10 +25,6 @@ class DatabaseUnavailable(Exception):
 class QueryFailure(Exception):
     """The statement did not execute to completion."""
 
-    def __init__(self, message: str, timed_out: bool = False):
-        super().__init__(message)
-        self.timed_out = timed_out
-
 
 _ALLOWED_ACTIONS = frozenset(
     (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
@@ -58,8 +54,8 @@ def run_query(
 ) -> tuple[list[tuple], int]:
     """Execute one statement, returning (rows, column_count).
 
-    Raises QueryFailure on any execution error, with .timed_out set when
-    the wall-clock cutoff interrupted the statement, and
+    Raises QueryFailure on any execution error ("timeout after ...s" when
+    the wall-clock cutoff interrupted the statement), and
     DatabaseUnavailable when the database itself cannot be opened.
     """
     own_connection = not isinstance(database, sqlite3.Connection)
@@ -78,8 +74,7 @@ def run_query(
         return rows, n_columns
     except sqlite3.Error as exc:
         timed_out = time.monotonic() > deadline
-        message = f"timeout after {timeout}s" if timed_out else str(exc)
-        raise QueryFailure(message, timed_out=timed_out) from exc
+        raise QueryFailure(f"timeout after {timeout}s" if timed_out else str(exc)) from exc
     except sqlite3.Warning as exc:  # e.g. multiple statements in one string
         raise QueryFailure(str(exc)) from exc
     finally:

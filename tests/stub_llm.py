@@ -65,7 +65,10 @@ class StubLLMServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # A short poll interval: shutdown() in stop() waits for one poll.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(0.01,), daemon=True
+        )
         self._thread.start()
         return self
 

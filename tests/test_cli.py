@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from acsql.agents import CORRECT_SQL, CRITIC_MODES, CompositeCritic
 from acsql.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, RunConfig, _build_factories, build_parser, main
 from acsql.engine import TraceWarning, read_traces
 from acsql.spider_data import SpiderTask
+from stub_llm import StubLLMServer
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +111,33 @@ def micro_dataset(spider_layout):
         "db_dir": str(spider_layout["db_dir"]),
         "root": spider_layout["root"],
     }
+
+
+def _is_critic_request(body):
+    return "Answer True if the SQL query is correct" in body["messages"][-1]["content"]
+
+
+# connection refused locally, retried without waiting
+_DEAD_ENDPOINT = {"base_url": "http://127.0.0.1:9/v1", "retry_backoff": [0.01]}
+
+# Config overrides on top of _bernoulli_config plus "seed": 3, each with the
+# mode to run; None stands for a config file that holds a list.
+_BAD_SETTINGS = {
+    "critic-kind-typo": ({"critic": {"kind": "stochastc"}}, "execution_only"),
+    "critic-kind-typo-llm": ({"critic": {"kind": "stochastc"}}, "llm_only"),
+    "bernoulli-without-p": ({"actor": {"kind": "bernoulli"}}, "both"),
+    "stochastic-without-q": ({"critic": {"kind": "stochastic", "s": 0.0}}, "both"),
+    "p-out-of-range": ({"actor": {"kind": "bernoulli", "p": 1.5}}, "both"),
+    "p-quoted": ({"actor": {"kind": "bernoulli", "p": "0.5"}}, "both"),
+    "max-iterations-quoted": ({"max_iterations": "5"}, "both"),
+    "concurrency-quoted": ({"concurrency": "2"}, "both"),
+    "concurrency-zero": ({"concurrency": 0}, "both"),
+    "unknown-actor-key": ({"actor": {**_DEAD_ENDPOINT, "max_retry": 0}}, "none"),
+    "bad-endpoint": ({"actor": {**_DEAD_ENDPOINT, "temperature": -1}}, "none"),
+    "actor-not-an-object": ({"actor": [_DEAD_ENDPOINT["base_url"]]}, "none"),
+    "config-not-an-object": (None, "none"),
+    "stochastic-without-seed": ({"actor": _DEAD_ENDPOINT, "seed": None}, "execution_only"),
+}
 
 
 def _bernoulli_config(micro_dataset, out_name, p=1.0):
@@ -251,6 +280,29 @@ class TestEvalCommands:
         assert code == 4
         assert all(f"t0000{i}:" in err for i in range(4))
 
+    def test_critic_without_base_url_keeps_its_own_keys(self, capsys, micro_dataset):
+        def handler(body):
+            return "True" if _is_critic_request(body) else CORRECT_SQL
+
+        server = StubLLMServer(handler=handler).start()
+        try:
+            code, _, err = run_cli(
+                capsys,
+                "eval", "run",
+                "--tasks", micro_dataset["tasks"],
+                "--tables", micro_dataset["tables"],
+                "--db-dir", micro_dataset["db_dir"],
+                "--mode", "llm_only",
+                "--out", str(micro_dataset["root"] / "judged.jsonl"),
+                "--actor-base-url", server.base_url, "--actor-model", "actor-m",
+                "--critic-model", "judge-m",
+            )
+        finally:
+            server.stop()
+        assert code == EXIT_OK, err
+        sent = {(_is_critic_request(r["body"]), r["body"]["model"]) for r in server.requests}
+        assert sent == {(False, "actor-m"), (True, "judge-m")}
+
     def test_malformed_tables_entry_is_io_error(self, capsys, micro_dataset):
         tables_path = micro_dataset["root"] / "tables.json"
         entry = json.loads(tables_path.read_text())[0]
@@ -283,14 +335,34 @@ class TestEvalCommands:
 
     def test_ablation_bad_mode_rejected(self, capsys, micro_dataset):
         config_path, _ = _bernoulli_config(micro_dataset, "x.jsonl")
-        code, _, err = run_cli(
-            capsys,
-            "eval", "ablation",
-            "--config", str(config_path),
-            "--modes", "none,sideways",
-            "--out-dir", str(micro_dataset["root"] / "ablation"),
-        )
-        assert code == EXIT_USAGE
+        for modes in (["none,sideways"], ["none,none", "--seed", "3"]):
+            code, _, err = run_cli(
+                capsys,
+                "eval", "ablation",
+                "--config", str(config_path),
+                "--modes", *modes,
+                "--out-dir", str(micro_dataset["root"] / "ablation"),
+            )
+            assert code == EXIT_USAGE, modes
+
+    @pytest.mark.parametrize(
+        "overrides, mode", list(_BAD_SETTINGS.values()), ids=list(_BAD_SETTINGS)
+    )
+    def test_bad_setting_exits_before_any_task(self, capsys, micro_dataset, overrides, mode):
+        config_path, out_path = _bernoulli_config(micro_dataset, "never.jsonl")
+        config = {**json.loads(config_path.read_text()), "seed": 3}
+        config = [config] if overrides is None else {**config, **overrides}
+        config_path.write_text(json.dumps(config))
+        out_dir = micro_dataset["root"] / "never"
+        for argv in (
+            ["eval", "run", "--config", str(config_path), "--mode", mode],
+            ["eval", "ablation", "--config", str(config_path), "--modes", mode,
+             "--out-dir", str(out_dir)],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (EXIT_USAGE, ""), argv
+            assert err.startswith("error: "), argv
+            assert not Path(out_path).exists() and not out_dir.exists(), argv
 
 
 def _subparser(parser, *names):
