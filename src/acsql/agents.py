@@ -1,11 +1,12 @@
 """Actors and critics: prompt construction, reply parsing, and the critic modes.
 
-The actor prompt puts the schema DDL first and then a one-line
+The actor prompt is one user turn, the schema DDL and then a one-line
 instruction with the question; the critic prompt reuses the schema and
 asks for a bare True/False on a candidate. Both are deliberately plain
-so they transfer across models. The execution critic accepts any
-candidate that runs to completion on a read-only connection, which makes
-it a syntax (not semantics) check; the LLM critic covers the rest.
+so they transfer across models, and their builders never raise: a blank
+candidate is just a wrong draft. The execution critic accepts any
+candidate that runs a query to completion on a read-only connection,
+which makes it a syntax (not semantics) check; the LLM critic covers the rest.
 """
 
 import logging
@@ -49,20 +50,6 @@ class Verdict:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class PromptBundle:
-    """Schema preamble plus the instruction turn, in that order."""
-
-    system_or_preamble: str
-    user_turn: str
-
-    def render(self) -> str:
-        return f"{self.system_or_preamble}\n\n{self.user_turn}"
-
-    def as_messages(self) -> list[ChatMessage]:
-        return [ChatMessage("user", self.render())]
-
-
 class Actor(Protocol):
     def respond(self, messages: list[ChatMessage]) -> str: ...
 
@@ -78,34 +65,17 @@ class Critic(Protocol):
 # ---------------------------------------------------------------------------
 
 
-def build_actor_prompt(schema_ddl: str, question: str) -> PromptBundle:
-    if not schema_ddl.strip():
-        raise ValueError("schema DDL must be non-empty")
-    if not question.strip():
-        raise ValueError("question must be non-empty")
-    return PromptBundle(
-        system_or_preamble=schema_ddl,
-        user_turn=f"{ACTOR_INSTRUCTION} {question}",
-    )
+def build_actor_prompt(schema_ddl: str, question: str) -> list[ChatMessage]:
+    return [ChatMessage("user", f"{schema_ddl}\n\n{ACTOR_INSTRUCTION} {question}")]
 
 
 def build_regeneration_prompt(question: str) -> str:
-    if not question.strip():
-        raise ValueError("question must be non-empty")
     return f"{REGENERATION_INSTRUCTION} {question}"
 
 
-def build_critic_prompt(schema_ddl: str, question: str, candidate_sql: str) -> PromptBundle:
-    if not schema_ddl.strip():
-        raise ValueError("schema DDL must be non-empty")
-    if not question.strip():
-        raise ValueError("question must be non-empty")
-    if not candidate_sql.strip():
-        raise ValueError("candidate SQL must be non-empty")
-    return PromptBundle(
-        system_or_preamble=schema_ddl,
-        user_turn=f"{CRITIC_INSTRUCTION} Question: {question} SQL: {candidate_sql}",
-    )
+def build_critic_prompt(schema_ddl: str, question: str, candidate_sql: str) -> list[ChatMessage]:
+    turn = f"{CRITIC_INSTRUCTION} Question: {question} SQL: {candidate_sql}"
+    return [ChatMessage("user", f"{schema_ddl}\n\n{turn}")]
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +149,9 @@ def execution_critic(
 
     An empty result set still accepts; syntax errors, unknown
     tables/columns, any statement but a query (writes, temp tables,
-    ATTACH and PRAGMA, refused by run_query on any handle), runtime
-    errors, and timeouts all reject with the error text as evidence.
+    ATTACH and PRAGMA, refused by run_query on any handle), blank or
+    comment-only text ("not a query"), runtime errors, and timeouts all
+    reject with the error text as evidence.
     Database-open failures propagate as DatabaseUnavailable.
     """
     try:
@@ -197,9 +168,8 @@ class LLMJudge:
         self.endpoint = endpoint
 
     def judge(self, schema_ddl: str, question: str, candidate_sql: str) -> Verdict:
-        bundle = build_critic_prompt(schema_ddl, question, candidate_sql)
         try:
-            reply = complete(self.endpoint, bundle.as_messages())
+            reply = complete(self.endpoint, build_critic_prompt(schema_ddl, question, candidate_sql))
         except TransportError as exc:
             # Unreachable critic must not let an unverified candidate out
             # early; a reject just costs one regeneration.

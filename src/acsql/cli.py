@@ -16,6 +16,7 @@ is read, so a bad one exits 2 with no trace file written.
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass, field, fields
@@ -99,7 +100,7 @@ def _endpoint_from(settings: dict, default_temperature: float) -> EndpointConfig
     kwargs = {"model_name": "default", "temperature": default_temperature}
     for key, value in settings.items():
         if key != "kind":
-            kwargs[_ENDPOINT_FIELDS[key]] = tuple(value) if key == "retry_backoff" else value
+            kwargs[_ENDPOINT_FIELDS[key]] = tuple(value) if isinstance(value, list) else value
     return EndpointConfig(**kwargs)
 
 
@@ -219,14 +220,24 @@ def _load_run_config(args) -> RunConfig:
             value = getattr(args, f"{role}_{key}", None)
             if value is not None:
                 settings[key] = value
-    for name in ("tasks", "tables", "db_dir"):
-        if not getattr(config, name):
+    for name in ("tasks", "tables", "db_dir", "out"):
+        if not isinstance(getattr(config, name), str):
+            raise UsageError(f"{name} must be a string, got {getattr(config, name)!r}")
+        if name != "out" and not getattr(config, name):
             raise UsageError(f"missing required setting: {name}")
     for name in ("max_iterations", "concurrency"):
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise UsageError(f"{name.replace('_', '-')} must be an integer >= 1, got {value!r}")
+    _exec_timeout(config.exec_timeout)
     return config
+
+
+def _exec_timeout(value) -> float:
+    # A deadline that has already passed would interrupt every statement.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise UsageError(f"exec-timeout must be a finite number > 0, got {value!r}")
+    return value
 
 
 def _run_mode(
@@ -297,14 +308,16 @@ def _cmd_eval(args) -> int:
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
         return _exit_status(summaries)
 
+    # report and estimate-pqs
+    timeout = _exec_timeout(args.exec_timeout)
+    traces = read_traces(args.traces, strict=args.strict)
     if args.eval_cmd == "report":
-        traces = read_traces(args.traces, strict=args.strict)
         report = evalkit.evaluate_run(
             traces,
             args.db_dir,
             dataset_name=args.dataset_name,
             baseline_ex=args.baseline_ex,
-            timeout=args.exec_timeout,
+            timeout=timeout,
         )
         if args.json:
             print(json.dumps(report.to_json_dict(), indent=2))
@@ -312,9 +325,7 @@ def _cmd_eval(args) -> int:
             print(evalkit.format_reports([report]))
         return EXIT_OK
 
-    # estimate-pqs
-    traces = read_traces(args.traces, strict=args.strict)
-    estimate = evalkit.estimate_pqs(traces, args.db_dir, timeout=args.exec_timeout)
+    estimate = evalkit.estimate_pqs(traces, args.db_dir, timeout=timeout)
     payload = estimate.to_json_dict()
     if (
         estimate.p_hat is not None

@@ -97,7 +97,7 @@ def run_ac_loop(
     (the composite critic converts them to reject verdicts).
     """
     budget = config.budget
-    messages = build_actor_prompt(schema_ddl, task.question).as_messages()
+    messages = build_actor_prompt(schema_ddl, task.question)
     iterations: list[IterationRecord] = []
     stopped_by = "budget_exhausted"
 

@@ -2,9 +2,11 @@
 
 Speaks the OpenAI-compatible wire shape (POST {base_url}/chat/completions
 with {model, messages, temperature, max_tokens}) because that is what
-both commercial endpoints and local open-model servers expose. API keys
-are read from an environment variable at call time and never logged or
-persisted.
+both commercial endpoints and local open-model servers expose. A
+dialogue has only user and assistant turns and opens with a user turn.
+EndpointConfig checks every field's type and range when it is built.
+API keys are read from an environment variable at call time and never
+logged or persisted.
 
 The client is built on the standard library (`urllib.request`) and opens
 one connection per call. Proxies come from HTTP_PROXY/HTTPS_PROXY and
@@ -50,7 +52,7 @@ class ChatMessage:
     content: str
 
     def __post_init__(self) -> None:
-        if self.role not in ("system", "user", "assistant"):
+        if self.role not in ("user", "assistant"):
             raise ValueError(f"unknown role {self.role!r}")
 
 
@@ -67,15 +69,29 @@ class EndpointConfig:
 
     def __post_init__(self) -> None:
         # urllib would also open ftp:// and file:// URLs; only HTTP is an endpoint.
-        if urllib.parse.urlsplit(self.base_url).scheme not in ("http", "https"):
+        if not (isinstance(self.base_url, str)
+                and urllib.parse.urlsplit(self.base_url).scheme in ("http", "https")):
             raise ValueError(f"base_url must be an http(s) URL, got {self.base_url!r}")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            # The request body is strict JSON, which has no NaN or Infinity.
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if self.max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        for name in ("model_name", "api_key_env_var"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        # The request body is strict JSON, which has no NaN or Infinity.
+        if not (_finite_number(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature!r}")
+        if not (_finite_number(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout!r}")
+        for name, least in (("max_tokens", 1), ("max_retries", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        # time.sleep refuses a negative delay, which would end the whole batch.
+        if not (isinstance(self.retry_backoff, tuple)
+                and all(_finite_number(d) and d >= 0 for d in self.retry_backoff)):
+            raise ValueError(f"retry_backoff must list numbers >= 0, got {self.retry_backoff!r}")
+
+
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _backoff_delay(config: EndpointConfig, attempt: int) -> float:
@@ -100,11 +116,8 @@ def complete(config: EndpointConfig, messages: list[ChatMessage]) -> str:
     timeouts) up to max_retries times following the backoff schedule;
     auth failures are terminal.
     """
-    if not messages:
-        raise ValueError("messages must be non-empty")
-    first = next((m for m in messages if m.role != "system"), None)
-    if first is not None and first.role != "user":
-        raise ValueError("first non-system message must come from the user")
+    if not messages or messages[0].role != "user":
+        raise ValueError("messages must open with a user turn")
 
     url = config.base_url.rstrip("/") + "/chat/completions"
     payload = {

@@ -73,9 +73,9 @@ def parse_tables_json(path: str | Path) -> SchemaIndex:
     One CREATE TABLE statement per table in dataset order, columns
     followed by PRIMARY KEY and FOREIGN KEY clauses; the output is
     deterministic. An entry that is not an object, lacks a required key,
-    has a non-string db_id or points outside its own tables or columns
-    (any negative table index but the -1 of "*") raises DatasetFormatError
-    naming the entry.
+    has a non-string db_id or no tables, or points outside its own tables
+    or columns (any negative table index but the -1 of "*") raises
+    DatasetFormatError naming the entry.
     """
     raw = _read_json(path)
     if not isinstance(raw, list):
@@ -97,6 +97,8 @@ def _entry_ddl(entry: dict) -> str:
     if not isinstance(db_id, str):
         raise TypeError(f"db_id must be a string, got {db_id!r}")
     table_names = entry["table_names_original"]
+    if not table_names:
+        raise ValueError("the entry has no tables, so its prompt would have no schema")
     column_pairs = entry["column_names_original"]
     column_types = entry["column_types"]
     primary_keys = set(entry.get("primary_keys", []))
@@ -145,7 +147,7 @@ def schema_to_ddl(schemas: SchemaIndex, db_id: str) -> str:
 def load_dataset(
     tasks_path: str | Path, tables_path: str | Path, db_dir: str | Path
 ) -> LoadedDataset:
-    """Load tasks and schemas, flagging tasks whose database is missing."""
+    """Load tasks and schemas; flag tasks whose database is missing, refuse malformed ones."""
     raw_tasks = _read_json(tasks_path)
     if not isinstance(raw_tasks, list):
         raise DatasetFormatError(f"{tasks_path}: expected a JSON array of tasks")
@@ -154,17 +156,15 @@ def load_dataset(
     tasks: list[SpiderTask] = []
     unloadable: list[tuple[str, str]] = []
     for i, entry in enumerate(raw_tasks):
-        try:
-            task = SpiderTask(
-                task_id=f"t{i:05d}",
-                db_id=entry["db_id"],
-                question=entry["question"],
-                gold_sql=entry.get("query"),
-            )
-        except (TypeError, KeyError) as exc:
+        item = entry if isinstance(entry, dict) else {}
+        task = SpiderTask(f"t{i:05d}", item.get("db_id"), item.get("question"), item.get("query"))
+        if not (isinstance(task.db_id, str) and isinstance(task.question, str)
+                and task.question.strip() and isinstance(task.gold_sql, (str, type(None)))):
             raise DatasetFormatError(
-                f"{tasks_path}: task {i} missing required field: {exc}"
-            ) from exc
+                f"{tasks_path}: task {i} needs an object with a string db_id, a non-empty "
+                f"question and a string or null query; got db_id {task.db_id!r}, "
+                f"question {task.question!r}, query {task.gold_sql!r}"
+            )
         db_file = database_path(db_dir, task.db_id)
         if task.db_id not in schemas:
             unloadable.append((task.task_id, f"db_id {task.db_id!r} not in tables file"))

@@ -55,8 +55,9 @@ def run_query(
     """Execute one statement, returning (rows, column_count).
 
     Raises QueryFailure on any execution error ("timeout after ...s" when
-    the wall-clock cutoff interrupted the statement), and
-    DatabaseUnavailable when the database itself cannot be opened.
+    the wall-clock cutoff interrupted the statement, "not a query" for
+    blank or comment-only text), and DatabaseUnavailable when the
+    database itself cannot be opened.
     """
     own_connection = not isinstance(database, sqlite3.Connection)
     conn = open_readonly(database) if own_connection else database
@@ -70,8 +71,9 @@ def run_query(
     try:
         cursor = conn.execute(sql)
         rows = cursor.fetchall()
-        n_columns = len(cursor.description) if cursor.description else 0
-        return rows, n_columns
+        if cursor.description is None:
+            raise QueryFailure("not a query")
+        return rows, len(cursor.description)
     except sqlite3.Error as exc:
         timed_out = time.monotonic() > deadline
         raise QueryFailure(f"timeout after {timeout}s" if timed_out else str(exc)) from exc

@@ -52,26 +52,19 @@ def squash(text: str) -> str:
 
 class TestPromptBuilders:
     def test_actor_prompt_layout(self):
-        bundle = build_actor_prompt(CONTINENTS_DDL, "How many continents are there?")
-        assert bundle.system_or_preamble == CONTINENTS_DDL
-        assert bundle.render().index(CONTINENTS_DDL) < bundle.render().index("Create a SQL")
-        assert squash(bundle.render()) == squash(CONTINENTS_PROMPT)
+        [message] = build_actor_prompt(CONTINENTS_DDL, "How many continents are there?")
+        assert message.content.startswith(CONTINENTS_DDL + "\n\n")
+        assert message.content.index(CONTINENTS_DDL) < message.content.index("Create a SQL")
+        assert squash(message.content) == squash(CONTINENTS_PROMPT)
 
     def test_actor_prompt_first_turn(self, battle_ddl):
-        bundle = build_actor_prompt(battle_ddl, TONNAGE_QUESTION)
+        [message] = build_actor_prompt(battle_ddl, TONNAGE_QUESTION)
         expected_turn = (
             "Create a SQL query only for the given questions using database schema "
             "above without explanation: " + TONNAGE_QUESTION
         )
-        assert bundle.user_turn == expected_turn
-        messages = bundle.as_messages()
-        assert len(messages) == 1 and messages[0].role == "user"
-
-    def test_actor_prompt_rejects_empty(self):
-        with pytest.raises(ValueError):
-            build_actor_prompt("", "q")
-        with pytest.raises(ValueError):
-            build_actor_prompt("CREATE TABLE t ( a INT );", "  ")
+        assert message.role == "user"
+        assert message.content == f"{battle_ddl}\n\n{expected_turn}"
 
     def test_regeneration_prompt_exact(self):
         assert build_regeneration_prompt(TONNAGE_QUESTION) == (
@@ -86,33 +79,28 @@ class TestPromptBuilders:
         assert a == prefix + "first question?"
         assert b == prefix + "second question?"
 
-    def test_regeneration_prompt_rejects_empty(self):
-        with pytest.raises(ValueError):
-            build_regeneration_prompt("")
-
     def test_critic_prompt_layout(self, battle_ddl):
         sql = "SELECT killed, injured FROM death WHERE caused_by_ship"
-        bundle = build_critic_prompt(battle_ddl, TONNAGE_QUESTION, sql)
-        assert bundle.system_or_preamble == battle_ddl
-        assert bundle.user_turn == (
+        [message] = build_critic_prompt(battle_ddl, TONNAGE_QUESTION, sql)
+        assert message.role == "user"
+        assert message.content == battle_ddl + "\n\n" + (
             "Answer True if the SQL query is correct and False if incorrect "
             f"without explanation. Question: {TONNAGE_QUESTION} SQL: {sql}"
         )
 
     def test_critic_prompt_embeds_multiline_sql(self, battle_ddl):
         sql = "SELECT killed\nFROM death\nWHERE id = 1"
-        bundle = build_critic_prompt(battle_ddl, "q?", sql)
-        assert sql in bundle.user_turn
+        [message] = build_critic_prompt(battle_ddl, "q?", sql)
+        assert message.content.endswith(f" SQL: {sql}")
 
-    def test_critic_prompt_rejects_empty_sql(self, battle_ddl):
-        with pytest.raises(ValueError):
-            build_critic_prompt(battle_ddl, "q?", "")
+    def test_critic_prompt_formats_blank_sql(self, battle_ddl):
+        # a blank draft is a candidate like any other, for the critics to judge
+        [message] = build_critic_prompt(battle_ddl, "q?", "")
+        assert message.content.endswith(" Question: q? SQL: ")
 
-    @given(st.text(min_size=1), st.text(min_size=1))
+    @given(st.text(), st.text())
     @settings(max_examples=50)
     def test_builders_are_pure(self, schema, question):
-        if not schema.strip() or not question.strip():
-            return
         assert build_actor_prompt(schema, question) == build_actor_prompt(schema, question)
         assert build_regeneration_prompt(question) == build_regeneration_prompt(question)
 
@@ -175,6 +163,11 @@ class TestExecutionCritic:
     def test_accepts_empty_result(self, battle_db):
         verdict = execution_critic("SELECT * FROM ship WHERE tonnage = 'zzz'", battle_db)
         assert verdict.accepted
+
+    @pytest.mark.parametrize("sql", ["", "   \n", "-- SELECT 1", "/* nothing */ ;"])
+    def test_rejects_blank_sql(self, battle_db, sql):
+        verdict = execution_critic(sql, battle_db)
+        assert (verdict.accepted, verdict.detail) == (False, "not a query")
 
     def test_rejects_unknown_table(self, battle_db):
         verdict = execution_critic("SELECT killed FROM deth", battle_db)

@@ -137,6 +137,20 @@ _BAD_SETTINGS = {
     "actor-not-an-object": ({"actor": [_DEAD_ENDPOINT["base_url"]]}, "none"),
     "config-not-an-object": (None, "none"),
     "stochastic-without-seed": ({"actor": _DEAD_ENDPOINT, "seed": None}, "execution_only"),
+    "timeout-quoted": ({"actor": {**_DEAD_ENDPOINT, "timeout": "60"}}, "none"),
+    "timeout-zero": ({"actor": {**_DEAD_ENDPOINT, "timeout": 0}}, "none"),
+    "temperature-bool": ({"actor": {**_DEAD_ENDPOINT, "temperature": True}}, "none"),
+    "max-tokens-quoted": ({"actor": {**_DEAD_ENDPOINT, "max_tokens": "512"}}, "none"),
+    "max-retries-bool": ({"actor": {**_DEAD_ENDPOINT, "max_retries": False}}, "none"),
+    "backoff-not-a-list": ({"actor": {**_DEAD_ENDPOINT, "retry_backoff": 0.5}}, "none"),
+    "api-key-env-not-a-string": ({"actor": {**_DEAD_ENDPOINT, "api_key_env": 5}}, "none"),
+    "critic-negative-backoff": (
+        {"actor": _DEAD_ENDPOINT, "critic": {"retry_backoff": [-1]}}, "llm_only"
+    ),
+    "exec-timeout-quoted": ({"exec_timeout": "5"}, "execution_only"),
+    "exec-timeout-negative": ({"exec_timeout": -1}, "both"),
+    "tasks-not-a-string": ({"tasks": 5}, "none"),
+    "out-not-a-string": ({"out": ["traces.jsonl"]}, "none"),
 }
 
 
@@ -363,6 +377,74 @@ class TestEvalCommands:
             assert (code, out) == (EXIT_USAGE, ""), argv
             assert err.startswith("error: "), argv
             assert not Path(out_path).exists() and not out_dir.exists(), argv
+
+
+    @pytest.mark.parametrize("command", ["report", "estimate-pqs"])
+    def test_exec_timeout_must_be_positive(self, capsys, micro_dataset, command):
+        config_path, out_path = _bernoulli_config(micro_dataset, "timed.jsonl")
+        run_cli(capsys, "eval", "run", "--config", str(config_path), "--mode", "none", "--seed", "3")
+        for value in ("0", "-1", "nan", "inf"):
+            code, out, err = run_cli(
+                capsys,
+                "eval", command,
+                "--traces", out_path, "--db-dir", micro_dataset["db_dir"],
+                f"--exec-timeout={value}",
+            )
+            assert (code, out) == (EXIT_USAGE, ""), value
+            assert "exec-timeout must be a finite number > 0" in err, value
+
+    @pytest.mark.parametrize("question", ["", 5], ids=["empty", "not_a_string"])
+    def test_malformed_task_exits_before_any_trace(self, capsys, micro_dataset, question):
+        tasks_path = Path(micro_dataset["tasks"])
+        tasks = json.loads(tasks_path.read_text())
+        tasks[1]["question"] = question
+        tasks_path.write_text(json.dumps(tasks))
+        config_path, out_path = _bernoulli_config(micro_dataset, "never.jsonl")
+        code, out, err = run_cli(
+            capsys, "eval", "run", "--config", str(config_path), "--mode", "both", "--seed", "3"
+        )
+        assert (code, out) == (EXIT_IO, "")
+        assert "task 1 needs" in err
+        assert not Path(out_path).exists()
+
+
+@pytest.mark.parametrize("mode", list(CRITIC_MODES))
+def test_blank_actor_reply_is_a_wrong_draft(capsys, micro_dataset, mode):
+    def handler(body):
+        if _is_critic_request(body):
+            return "True"
+        return "   " if "question 2?" in body["messages"][0]["content"] else CORRECT_SQL
+
+    out_path = micro_dataset["root"] / "blank.jsonl"
+    server = StubLLMServer(handler=handler).start()
+    try:
+        code, out, err = run_cli(
+            capsys,
+            "eval", "run",
+            "--tasks", micro_dataset["tasks"],
+            "--tables", micro_dataset["tables"],
+            "--db-dir", micro_dataset["db_dir"],
+            "--mode", mode, "--max-iterations", "2", "--concurrency", "2",
+            "--out", str(out_path),
+            "--actor-base-url", server.base_url,
+        )
+    finally:
+        server.stop()
+    assert code == EXIT_OK, err
+    assert "traces written: 4, resumed: 0, failed: 0" in out
+    traces = {t.task.question: t for t in read_traces(out_path)}
+    assert len(traces) == 4
+    blank = traces["question 2?"]
+    assert blank.final_sql == ""
+    first_verdicts = [(v.source, v.accepted, v.detail) for v in blank.iterations[0].verdicts]
+    expected = {
+        "none": [],
+        "llm_only": [("llm", True, "True")],
+        # the execution critic rejects a blank draft; in "both" the LLM is not asked
+        "execution_only": [("execution", False, "not a query")],
+        "both": [("execution", False, "not a query")],
+    }
+    assert first_verdicts == expected[mode]
 
 
 def _subparser(parser, *names):

@@ -610,8 +610,8 @@ class TestRunTasks:
         # each prompt carries the DDL of the task's own database
         for task in tasks:
             if task.db_id in schemas:
-                prompt = build_actor_prompt(schemas[task.db_id], task.question).render()
-                assert actors[task.task_id].received[0][0].content == prompt
+                prompt = build_actor_prompt(schemas[task.db_id], task.question)
+                assert actors[task.task_id].received[0] == prompt
         assert summary.written == 4
         assert summary.failed == [("t00003", "\"unknown db_id 'nowhere'\"")]
 

@@ -209,8 +209,9 @@ def test_message_validation(stub):
         complete(_config(stub), [])
     with pytest.raises(ValueError):
         complete(_config(stub), [ChatMessage("assistant", "hi")])
-    with pytest.raises(ValueError):
-        ChatMessage("tool", "x")
+    for role in ("tool", "system"):  # nothing sends a system turn
+        with pytest.raises(ValueError):
+            ChatMessage(role, "x")
 
 
 def test_config_validation():

@@ -94,6 +94,8 @@ class TestParseTables:
             lambda e: {**e, "column_names_original": [*e["column_names_original"], [-3, "stars"]]},
             lambda e: {**e, "db_id": 5},
             lambda e: {**e, "foreign_keys": [[7, 99]]},
+            lambda e: {**e, "table_names_original": [], "column_names_original": [[-1, "*"]],
+                       "column_types": ["text"], "primary_keys": [], "foreign_keys": []},
         ],
         ids=[
             "missing_key",
@@ -102,6 +104,7 @@ class TestParseTables:
             "negative_table_index",
             "db_id_not_a_string",
             "dangling_foreign_key",
+            "no_tables",
         ],
     )
     def test_malformed_entry_names_the_entry(self, tmp_path, make_entry):
@@ -179,6 +182,20 @@ class TestLoadDataset:
         bad.write_text("[{]")
         with pytest.raises(DatasetFormatError):
             load_dataset(bad, spider_layout["tables"], spider_layout["db_dir"])
+        # each malformed task is refused by name, after a good one
+        good = {"question": "q?", "db_id": "battle_death", "query": None}
+        for bad_task in (
+            {"question": "", "db_id": "battle_death", "query": "SELECT 1"},
+            {"question": "  \n", "db_id": "battle_death", "query": "SELECT 1"},
+            {"question": 5, "db_id": "battle_death", "query": "SELECT 1"},
+            {"question": "q?", "db_id": "battle_death", "query": ["SELECT 1"]},
+            {"question": "q?", "db_id": 5, "query": "SELECT 1"},
+            {"db_id": "battle_death", "query": "SELECT 1"},
+            ["q?", "battle_death"],
+        ):
+            _write_tasks(bad, [good, bad_task])
+            with pytest.raises(DatasetFormatError, match="tasks.json: task 1 needs"):
+                load_dataset(bad, spider_layout["tables"], spider_layout["db_dir"])
 
     def test_database_path_convention(self):
         assert str(database_path("/data/db", "concert_singer")).endswith(
