@@ -229,6 +229,9 @@ def _load_run_config(args) -> RunConfig:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise UsageError(f"{name.replace('_', '-')} must be an integer >= 1, got {value!r}")
+    seed = config.seed
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise UsageError(f"seed must be an integer, got {seed!r}")
     _exec_timeout(config.exec_timeout)
     return config
 
@@ -333,7 +336,7 @@ def _cmd_eval(args) -> int:
         and estimate.s_hat is not None
         and traces
     ):
-        z = traces[0].config.max_iterations
+        z = traces[0].config.max_iterations  # read_traces allows one config per log
         payload["predicted_prob"] = theory.expected_prob(
             theory.ACParams(p=estimate.p_hat, q=estimate.q_hat, s=estimate.s_hat, z=z)
         )

@@ -7,13 +7,15 @@ regeneration request to the dialogue and tries again. The final
 iteration's SQL is emitted without review, so a budget of z means at
 most z generations and at most z-1 critic consultations.
 
-Traces serialize to JSON Lines, one run per line, with stable field
+Traces serialize to JSON Lines, one task per line, with stable field
 names so downstream scoring and parameter estimation can replay them.
+A trace stores only what it cannot derive; the reader checks each
+field's JSON type and refuses a log whose records differ in config.
 """
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO
 
@@ -63,7 +65,6 @@ class ACConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    index: int  # 1-based
     generated_sql: str
     verdicts: tuple[Verdict, ...]
     actor_raw_output: str
@@ -78,8 +79,14 @@ class ACTrace:
     task: SpiderTask
     config: ACConfig
     iterations: tuple[IterationRecord, ...]
-    final_sql: str
-    stopped_by: str  # accepted | budget_exhausted
+
+    @property
+    def final_sql(self) -> str:
+        return self.iterations[-1].generated_sql
+
+    @property
+    def stopped_by(self) -> str:
+        return "accepted" if self.iterations[-1].overall_accepted else "budget_exhausted"
 
 
 def run_ac_loop(
@@ -99,7 +106,6 @@ def run_ac_loop(
     budget = config.budget
     messages = build_actor_prompt(schema_ddl, task.question)
     iterations: list[IterationRecord] = []
-    stopped_by = "budget_exhausted"
 
     for index in range(1, budget + 1):
         try:
@@ -112,16 +118,11 @@ def run_ac_loop(
         if index < budget:
             if critic is None:
                 raise ValueError(f"critic required for mode {config.critic_mode!r}")
-            verdicts = tuple(
-                critic.review(sql, schema_ddl=schema_ddl, question=task.question)
-            )
-        record = IterationRecord(
-            index=index, generated_sql=sql, verdicts=verdicts, actor_raw_output=raw
-        )
+            verdicts = tuple(critic.review(sql, schema_ddl=schema_ddl, question=task.question))
+        record = IterationRecord(generated_sql=sql, verdicts=verdicts, actor_raw_output=raw)
         iterations.append(record)
 
         if record.overall_accepted:
-            stopped_by = "accepted"
             break
         if index < budget:
             messages = messages + [
@@ -129,13 +130,7 @@ def run_ac_loop(
                 ChatMessage("user", build_regeneration_prompt(task.question)),
             ]
 
-    return ACTrace(
-        task=task,
-        config=config,
-        iterations=tuple(iterations),
-        final_sql=iterations[-1].generated_sql,
-        stopped_by=stopped_by,
-    )
+    return ACTrace(task=task, config=config, iterations=tuple(iterations))
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +144,10 @@ def trace_to_dict(trace: ACTrace) -> dict:
         "db_id": trace.task.db_id,
         "question": trace.task.question,
         "gold_sql": trace.task.gold_sql,
-        "config": {
-            "max_iterations": trace.config.max_iterations,
-            "critic_mode": trace.config.critic_mode,
-        },
+        "config": asdict(trace.config),
         "iterations": [
             {
-                "index": record.index,
+                "index": index,
                 "sql": record.generated_sql,
                 "actor_raw": record.actor_raw_output,
                 "verdicts": [
@@ -163,73 +155,74 @@ def trace_to_dict(trace: ACTrace) -> dict:
                     for v in record.verdicts
                 ],
             }
-            for record in trace.iterations
+            for index, record in enumerate(trace.iterations, start=1)
         ],
         "final_sql": trace.final_sql,
         "stopped_by": trace.stopped_by,
     }
 
 
+_MISSING = object()
+_JSON_TYPES = {str: "a string", (str, type(None)): "a string or null", int: "an integer",
+               bool: "true or false", dict: "an object", list: "a list"}
+
+
+def _typed(obj, key: str, kind, default=_MISSING):
+    """obj[key] if it has the JSON type kind (a bool is no integer); default if absent."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object holding {key!r}, got {obj!r}")
+    value = obj.get(key, default)
+    if value is _MISSING:
+        raise ValueError(f"missing {key!r}")
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def trace_from_dict(payload: dict) -> ACTrace:
     try:
         task = SpiderTask(
-            task_id=payload["task_id"],
-            db_id=payload["db_id"],
-            question=payload["question"],
-            gold_sql=payload.get("gold_sql"),
+            task_id=_typed(payload, "task_id", str),
+            db_id=_typed(payload, "db_id", str),
+            question=_typed(payload, "question", str),
+            gold_sql=_typed(payload, "gold_sql", (str, type(None)), None),
         )
+        config = _typed(payload, "config", dict)
         config = ACConfig(
-            max_iterations=payload["config"]["max_iterations"],
-            critic_mode=payload["config"]["critic_mode"],
+            _typed(config, "max_iterations", int), _typed(config, "critic_mode", str)
         )
+        items = _typed(payload, "iterations", list)
         iterations = tuple(
             IterationRecord(
-                index=item["index"],
-                generated_sql=item["sql"],
+                generated_sql=_typed(item, "sql", str),
                 verdicts=tuple(
                     Verdict(
-                        accepted=v["accepted"],
-                        source=v["source"],
-                        detail=v.get("detail", ""),
+                        accepted=_typed(v, "accepted", bool),
+                        source=_typed(v, "source", str),
+                        detail=_typed(v, "detail", str, ""),
                     )
-                    for v in item["verdicts"]
+                    for v in _typed(item, "verdicts", list)
                 ),
-                actor_raw_output=item["actor_raw"],
+                actor_raw_output=_typed(item, "actor_raw", str),
             )
-            for item in payload["iterations"]
+            for item in items
         )
-        if not iterations:
-            raise ValueError("a trace needs at least one iteration")
-        if any(not isinstance(v.accepted, bool) for record in iterations for v in record.verdicts):
-            raise ValueError("a verdict's 'accepted' must be true or false")
-        # Refuse what run_ac_loop cannot produce: it numbers iterations from
-        # 1, stops at the first accept and never exceeds its budget.
-        if [record.index for record in iterations] != list(range(1, len(iterations) + 1)):
+        # Refuse what run_ac_loop cannot produce: it makes 1 to budget
+        # iterations numbered from 1 and stops at the first accept.
+        if not 1 <= len(iterations) <= config.budget:
+            raise ValueError(f"{len(iterations)} iterations, but mode {config.critic_mode!r} with "
+                             f"max_iterations {config.max_iterations} allows 1 to {config.budget}")
+        if [_typed(item, "index", int) for item in items] != list(range(1, len(items) + 1)):
             raise ValueError("iteration indices are not 1..n in order")
         if any(record.overall_accepted for record in iterations[:-1]):
             raise ValueError("an iteration before the last was accepted")
-        if len(iterations) > config.budget:
-            raise ValueError(
-                f"{len(iterations)} iterations exceed the budget of {config.budget} "
-                f"(mode {config.critic_mode!r})"
-            )
-        last = iterations[-1]
-        if payload["final_sql"] != last.generated_sql:
+        trace = ACTrace(task=task, config=config, iterations=iterations)
+        if _typed(payload, "final_sql", str) != trace.final_sql:
             raise ValueError("'final_sql' is not the last iteration's sql")
-        stopped_by = "accepted" if last.overall_accepted else "budget_exhausted"
-        if payload["stopped_by"] != stopped_by:
-            raise ValueError(
-                f"'stopped_by' is {payload['stopped_by']!r} but the last iteration "
-                f"says {stopped_by!r}"
-            )
-        return ACTrace(
-            task=task,
-            config=config,
-            iterations=iterations,
-            final_sql=last.generated_sql,
-            stopped_by=stopped_by,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        if _typed(payload, "stopped_by", str) != trace.stopped_by:
+            raise ValueError(f"'stopped_by' must be {trace.stopped_by!r}, as the iterations say")
+        return trace
+    except ValueError as exc:
         raise TraceFormatError(f"invalid trace record: {exc}") from exc
 
 
@@ -242,7 +235,8 @@ def read_traces(path: str | Path, strict: bool = False) -> list[ACTrace]:
     """Read a JSON Lines trace log.
 
     Malformed lines raise TraceFormatError with their line number when
-    strict, otherwise emit a TraceWarning and are skipped.
+    strict, otherwise emit a TraceWarning and are skipped. A config that
+    differs from the first record's raises TraceFormatError either way.
     """
     traces: list[ACTrace] = []
     with open(path, encoding="utf-8") as f:
@@ -250,10 +244,14 @@ def read_traces(path: str | Path, strict: bool = False) -> list[ACTrace]:
             if not line.strip():
                 continue
             try:
-                payload = json.loads(line)
-                traces.append(trace_from_dict(payload))
+                trace = trace_from_dict(json.loads(line))
             except (ValueError, TraceFormatError) as exc:
                 if strict:
                     raise TraceFormatError(f"{path}:{line_no}: {exc}") from exc
                 warnings.warn(f"{path}:{line_no}: skipping bad trace line: {exc}", TraceWarning)
+                continue
+            if traces and trace.config != traces[0].config:
+                raise TraceFormatError(f"{path}:{line_no}: {trace.config} differs from the first "
+                                       f"record's {traces[0].config}; a log holds one config")
+            traces.append(trace)
     return traces

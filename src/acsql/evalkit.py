@@ -399,7 +399,9 @@ def run_tasks(
     Tasks whose task_id already appears in out_path are skipped so an
     interrupted run can be re-issued with the same command; a last line
     cut short by a crash is dropped first, so its task runs again and
-    the next trace starts on a fresh line. Actor or database failures
+    the next trace starts on a fresh line. A trace in out_path with
+    another config, or with another task under one of these task ids,
+    raises ValueError before any task runs. Actor or database failures
     are recorded per task and do not abort the batch.
     """
     out_path = Path(out_path)
@@ -407,7 +409,16 @@ def run_tasks(
     done: set[str] = set()
     if out_path.exists():
         _drop_partial_last_line(out_path)
-        done = {t.task.task_id for t in read_traces(out_path)}
+        by_id = {task.task_id: task for task in tasks}
+        for trace in read_traces(out_path):
+            task_id = trace.task.task_id
+            if trace.config != config:
+                raise ValueError(f"{out_path} holds task {task_id!r} run with {trace.config}, "
+                                 f"not {config}; resume with the same settings or start a new log")
+            if by_id.get(task_id, trace.task) != trace.task:
+                raise ValueError(f"{out_path} holds task {task_id!r} with another db_id, "
+                                 "question or gold than the tasks file; start a new log")
+            done.add(task_id)
     pending = [t for t in tasks if t.task_id not in done]
     summary.resumed = len(tasks) - len(pending)
 

@@ -40,8 +40,8 @@ import numpy as np
 def check_prob(value, name: str) -> None:
     """Raise ValueError unless value, a number or an array, lies in [0, 1] throughout."""
     array = np.asarray(value)
-    # NaN fails both comparisons
-    if array.dtype.kind not in "biuf" or not np.all((array >= 0.0) & (array <= 1.0)):
+    # NaN fails both comparisons; a bool (dtype kind "b") is not a number here
+    if array.dtype.kind not in "iuf" or not np.all((array >= 0.0) & (array <= 1.0)):
         raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 

@@ -298,6 +298,12 @@ class TestCompositeCritic:
 
 
 class TestDoubles:
+    def test_rejects_bool_probabilities(self):
+        with pytest.raises(ValueError):
+            BernoulliActor(True, random.Random(1))
+        with pytest.raises(ValueError):
+            StochasticCritic(q=0.0, s=False, rng=random.Random(1))
+
     def test_bernoulli_extremes(self):
         always = BernoulliActor(1.0, random.Random(1))
         never = BernoulliActor(0.0, random.Random(1))

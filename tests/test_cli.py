@@ -151,6 +151,11 @@ _BAD_SETTINGS = {
     "exec-timeout-negative": ({"exec_timeout": -1}, "both"),
     "tasks-not-a-string": ({"tasks": 5}, "none"),
     "out-not-a-string": ({"out": ["traces.jsonl"]}, "none"),
+    "p-bool": ({"actor": {"kind": "bernoulli", "p": True}}, "both"),
+    "s-bool": ({"critic": {"kind": "stochastic", "q": 0.0, "s": False}}, "both"),
+    "seed-bool": ({"seed": True}, "both"),
+    "seed-quoted": ({"seed": "abc"}, "both"),
+    "seed-fraction": ({"seed": 3.5}, "none"),
 }
 
 
@@ -346,6 +351,61 @@ class TestEvalCommands:
         code, out, err = run_cli(capsys, *argv, "--strict")
         assert code == EXIT_IO
         assert out == "" and "stopped_by" in err
+
+    def test_trace_field_of_wrong_type_skipped_or_strict_io_error(self, capsys, micro_dataset):
+        config_path, out_path = _bernoulli_config(micro_dataset, "typed.jsonl")
+        run_cli(capsys, "eval", "run", "--config", str(config_path), "--mode", "none", "--seed", "3")
+        with open(out_path, encoding="utf-8") as f:
+            records = [json.loads(line) for line in f]
+        records[0]["gold_sql"] = 5
+        with open(out_path, "w", encoding="utf-8") as f:
+            f.writelines(json.dumps(record) + "\n" for record in records)
+        argv = ["eval", "report", "--traces", out_path, "--db-dir", micro_dataset["db_dir"]]
+        with pytest.warns(TraceWarning, match=":1:.*'gold_sql' must be a string or null"):
+            code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["n_tasks"] == 3
+        code, out, err = run_cli(capsys, *argv, "--strict")
+        assert (code, out) == (EXIT_IO, "")
+        assert "'gold_sql' must be a string or null, got 5" in err
+
+    def test_resume_onto_another_runs_log_exits_before_any_task(self, capsys, micro_dataset):
+        config_path, out_path = _bernoulli_config(micro_dataset, "resume.jsonl", p=0.5)
+        argv = ["eval", "run", "--config", str(config_path), "--seed", "3"]
+        code, _, _ = run_cli(capsys, *argv, "--mode", "llm_only", "--max-iterations", "3")
+        assert code == EXIT_OK
+        logged = Path(out_path).read_bytes()
+        Path(micro_dataset["tasks"]).write_text(json.dumps([
+            {"question": f"other question {i}?", "db_id": "battle_death", "query": "SELECT 1"}
+            for i in range(6)
+        ]))
+        code, out, err = run_cli(capsys, *argv, "--mode", "both", "--max-iterations", "5")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "holds task 't0000" in err
+        assert "run with ACConfig(max_iterations=3, critic_mode='llm_only'), not" in err
+        assert Path(out_path).read_bytes() == logged
+
+    def test_log_of_two_runs_is_io_error(self, capsys, micro_dataset):
+        config_path, out_path = _bernoulli_config(micro_dataset, "mixed.jsonl", p=0.5)
+        for mode, z in (("llm_only", "3"), ("both", "5")):
+            part = micro_dataset["root"] / f"{mode}.jsonl"
+            run_cli(
+                capsys,
+                "eval", "run", "--config", str(config_path), "--seed", "3",
+                "--mode", mode, "--max-iterations", z, "--out", str(part),
+            )
+            with open(out_path, "a", encoding="utf-8") as f:
+                f.write(part.read_text(encoding="utf-8"))
+        for command in ("report", "estimate-pqs"):
+            for strict in ([], ["--strict"]):
+                code, out, err = run_cli(
+                    capsys,
+                    "eval", command, "--traces", out_path, "--db-dir", micro_dataset["db_dir"],
+                    *strict,
+                )
+                assert (code, out) == (EXIT_IO, ""), (command, strict)
+                assert f"{out_path}:5: ACConfig(max_iterations=5, critic_mode='both')" in err
+                assert "ACConfig(max_iterations=3, critic_mode='llm_only')" in err
 
     def test_ablation_bad_mode_rejected(self, capsys, micro_dataset):
         config_path, _ = _bernoulli_config(micro_dataset, "x.jsonl")

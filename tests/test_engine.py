@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -97,7 +98,7 @@ class TestRunAcLoop:
         actor = ScriptedActor(["SELECT 1"], cycle_last=True)
         critic = ScriptedCritic([False] * 4)
         trace = run_ac_loop(actor, critic, _task(), ACConfig(max_iterations=5), battle_ddl)
-        assert [r.index for r in trace.iterations] == [1, 2, 3, 4, 5]
+        assert [r["index"] for r in trace_to_dict(trace)["iterations"]] == [1, 2, 3, 4, 5]
 
     def test_actor_failure_aborts_with_typed_error(self, battle_ddl):
         class FailingActor:
@@ -142,7 +143,6 @@ def _sample_trace(task_id="t00042"):
         config=ACConfig(max_iterations=3, critic_mode="both"),
         iterations=(
             IterationRecord(
-                index=1,
                 generated_sql="SELECT 2",
                 verdicts=(
                     Verdict(accepted=True, source="execution"),
@@ -151,7 +151,6 @@ def _sample_trace(task_id="t00042"):
                 actor_raw_output="SELECT 2",
             ),
             IterationRecord(
-                index=2,
                 generated_sql="SELECT 1",
                 verdicts=(
                     Verdict(accepted=True, source="execution"),
@@ -160,8 +159,6 @@ def _sample_trace(task_id="t00042"):
                 actor_raw_output="sure: SELECT 1",
             ),
         ),
-        final_sql="SELECT 1",
-        stopped_by="accepted",
     )
 
 
@@ -179,6 +176,15 @@ def _unscorable_lines():
     over_budget["config"]["max_iterations"] = 1
     one_shot_mode = trace_to_dict(_sample_trace("t00009"))
     one_shot_mode["config"]["critic_mode"] = "none"
+    wrong_types = [trace_to_dict(_sample_trace("t00009")) for _ in range(8)]
+    wrong_types[0]["gold_sql"] = 5
+    wrong_types[1]["iterations"][0]["index"] = "1"
+    wrong_types[2]["iterations"][0]["index"] = True
+    wrong_types[3]["config"]["max_iterations"] = True
+    wrong_types[4]["iterations"][0]["verdicts"][1]["detail"] = 5
+    wrong_types[5]["iterations"][0]["verdicts"] = {}
+    wrong_types[6]["config"] = []
+    wrong_types[7]["question"] = None
     return [
         json.dumps(record)
         for record in (
@@ -188,6 +194,7 @@ def _unscorable_lines():
             index_gap,
             over_budget,
             one_shot_mode,
+            *wrong_types,
         )
     ]
 
@@ -246,6 +253,13 @@ class TestTracePersistence:
                 read_traces(path, strict=True)
             assert ":1:" in str(err.value), bad_line
 
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("## Trace format"):]
+        start = section.index("```json\n") + len("```json\n")
+        payload = json.loads(section[start:section.index("```", start)])
+        assert trace_to_dict(trace_from_dict(payload)) == payload
+
     def test_outcome_disagreeing_with_iterations_refused(self, tmp_path):
         path = tmp_path / "traces.jsonl"
         good = trace_to_dict(_sample_trace("t00001"))
@@ -273,7 +287,6 @@ class TestTracePersistence:
     def test_round_trip_arbitrary_content(self, question, sqls, gold, accepted_last, tmp_path_factory):
         iterations = tuple(
             IterationRecord(
-                index=i + 1,
                 generated_sql=sql,
                 verdicts=(
                     (Verdict(accepted=(i == len(sqls) - 1 and accepted_last), source="scripted"),)
@@ -288,7 +301,5 @@ class TestTracePersistence:
             task=SpiderTask("t0", "db", question, gold),
             config=ACConfig(max_iterations=max(len(sqls), 1), critic_mode="llm_only"),
             iterations=iterations,
-            final_sql=sqls[-1],
-            stopped_by="accepted" if accepted_last else "budget_exhausted",
         )
         assert trace_from_dict(trace_to_dict(trace)) == trace

@@ -6,6 +6,7 @@ import shutil
 import sqlite3
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -181,22 +182,18 @@ def _trace(task_id, sqls, verdict_specs, gold, z, db_id="battle_death"):
     """Build a trace; verdict_specs[i] is None (unchecked) or bool (accept)."""
     iterations = tuple(
         IterationRecord(
-            index=i + 1,
             generated_sql=sql,
             verdicts=(
                 (Verdict(accepted=spec, source="scripted"),) if spec is not None else ()
             ),
             actor_raw_output=sql,
         )
-        for i, (sql, spec) in enumerate(zip(sqls, verdict_specs))
+        for sql, spec in zip(sqls, verdict_specs)
     )
-    stopped = "accepted" if verdict_specs[-1] else "budget_exhausted"
     return ACTrace(
         task=SpiderTask(task_id=task_id, db_id=db_id, question="q?", gold_sql=gold),
         config=ACConfig(max_iterations=z, critic_mode="both"),
         iterations=iterations,
-        final_sql=sqls[-1],
-        stopped_by=stopped,
     )
 
 
@@ -546,6 +543,30 @@ class TestRunTasks:
         assert sorted(calls) == ["t00000", "t00001", "t00002"]
         ids = [t.task.task_id for t in read_traces(out)]
         assert sorted(ids) == ["t00000", "t00001", "t00002"]
+
+    def test_resume_refuses_another_runs_log(self, spider_layout, tmp_path):
+        schemas = _parsed_schemas()
+        tasks = _micro_tasks()
+        out = tmp_path / "traces.jsonl"
+        config = ACConfig(max_iterations=3, critic_mode="none")
+        calls = []
+
+        def actor_factory(task):
+            calls.append(task.task_id)
+            return ScriptedActor([CORRECT])
+
+        run_tasks(tasks[:2], schemas, actor_factory, lambda t: None, config, out)
+        logged = out.read_bytes()
+        reworded = [tasks[0], replace(tasks[1], question="task B, reworded?"), tasks[2]]
+        for other_tasks, other_config, match in [
+            (tasks, ACConfig(max_iterations=4, critic_mode="none"), "task 't0000[01]' run with"),
+            (tasks, ACConfig(max_iterations=3, critic_mode="both"), "task 't0000[01]' run with"),
+            (reworded, config, "task 't00001' with another db_id, question or gold"),
+        ]:
+            calls.clear()
+            with pytest.raises(ValueError, match=match):
+                run_tasks(other_tasks, schemas, actor_factory, lambda t: None, other_config, out)
+            assert calls == [] and out.read_bytes() == logged
 
     def test_resume_after_crash_mid_line(self, spider_layout, tmp_path):
         schemas = _parsed_schemas()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from acsql.theory import (
     ACParams,
     GainRegion,
+    check_prob,
     classify_gain,
     contour_grid,
     enumerate_prob,
@@ -50,6 +51,18 @@ class TestParams:
             ACParams(p=0.5, q=np.array([0.0, 0.5, 1.5]), s=0.5, z=3)
         with pytest.raises(ValueError):
             ACParams(p=0.5, q=0.5, s=np.array([[0.1, np.nan]]), z=3)
+
+    def test_rejects_bools(self):
+        # a JSON true/false is not a probability, whatever it would count as
+        for value in (True, False, np.array([True, False])):
+            with pytest.raises(ValueError, match="p must be a number"):
+                check_prob(value, "p")
+        with pytest.raises(ValueError):
+            ACParams(p=True, q=0.5, s=0.5, z=3)
+        with pytest.raises(ValueError):
+            limit_prob(0.5, False, 0.5)
+        with pytest.raises(ValueError):
+            classify_gain(0.5, True)
 
     def test_rejects_bad_z(self):
         with pytest.raises(ValueError):
