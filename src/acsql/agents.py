@@ -12,13 +12,13 @@ which makes it a syntax (not semantics) check; the LLM critic covers the rest.
 import logging
 import random
 import re
-import sqlite3
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
 from .llm_client import ChatMessage, EndpointConfig, TransportError, complete
-from .sqlexec import QueryFailure, run_query
+from .sqlexec import QueryFailure, open_readonly, run_query
 from .theory import check_prob
 
 logger = logging.getLogger(__name__)
@@ -140,24 +140,22 @@ def parse_verdict(llm_reply: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def execution_critic(
-    candidate_sql: str,
-    database: str | Path | sqlite3.Connection,
-    timeout: float = 5.0,
-) -> Verdict:
+def execution_critic(candidate_sql: str, database: str | Path, timeout: float = 5.0) -> Verdict:
     """Accept iff the candidate executes without error on a read-only handle.
 
+    The candidate runs on a handle opened for it and closed after it.
     An empty result set still accepts; syntax errors, unknown
     tables/columns, any statement but a query (writes, temp tables,
-    ATTACH and PRAGMA, refused by run_query on any handle), blank or
+    ATTACH and PRAGMA, refused by the open_readonly handle), blank or
     comment-only text ("not a query"), runtime errors, and timeouts all
     reject with the error text as evidence.
     Database-open failures propagate as DatabaseUnavailable.
     """
-    try:
-        run_query(database, candidate_sql, timeout=timeout)
-    except QueryFailure as exc:
-        return Verdict(accepted=False, source="execution", detail=str(exc))
+    with closing(open_readonly(database)) as conn:
+        try:
+            run_query(conn, candidate_sql, timeout=timeout)
+        except QueryFailure as exc:
+            return Verdict(accepted=False, source="execution", detail=str(exc))
     return Verdict(accepted=True, source="execution", detail="")
 
 
@@ -198,7 +196,7 @@ class CompositeCritic:
     def __init__(
         self,
         mode: str,
-        database: str | Path | sqlite3.Connection | None = None,
+        database: str | Path | None = None,
         llm_judge: LLMJudge | None = None,
         timeout: float = 5.0,
     ):

@@ -1,16 +1,16 @@
 """Read-only SQLite execution with a wall-clock cutoff.
 
 All candidate and gold SQL in this package runs through run_query, on a
-handle from open_readonly (read-only mode: INSERT/UPDATE/... fail at the
-engine level) or on a caller's own connection. For each statement
-run_query installs an authorizer that allows only reading: SELECT,
-reading a column, calling a function and recursive CTEs. Everything else
-is refused when the statement is prepared, including what read-only mode
-lets through because it changes only the connection: CREATE TEMP
-TABLE/VIEW, ATTACH and PRAGMA. So one handle is safe to reuse across
-untrusted statements; none can change what a later one sees. A progress
-handler interrupts statements that outlive the timeout, and the handle
-stays usable after an interrupt.
+handle from open_readonly. The handle is opened in read-only mode
+(INSERT/UPDATE/... fail at the engine level) and carries, from its first
+statement until it closes, an authorizer that allows only reading:
+SELECT, reading a column, calling a function and recursive CTEs.
+Everything else is refused when the statement is prepared, including
+what read-only mode lets through because it changes only the
+connection: CREATE TEMP TABLE/VIEW, ATTACH and PRAGMA. So one handle is
+safe to reuse across untrusted statements; none can change what a later
+one sees. A progress handler interrupts statements that outlive the
+timeout, and the handle stays usable after an interrupt.
 """
 
 import sqlite3
@@ -36,12 +36,13 @@ def _authorize(action: int, *_details) -> int:
 
 
 def open_readonly(path: str | Path) -> sqlite3.Connection:
-    """Open a read-only handle; run_query refuses every statement but a query on it."""
+    """Open a read-only handle that refuses every statement but a query."""
     p = Path(path)
     if not p.is_file():
         raise DatabaseUnavailable(f"database file not found: {p}")
     try:
         conn = sqlite3.connect(f"file:{p}?mode=ro", uri=True)
+        conn.set_authorizer(_authorize)
         conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
         conn.execute("SELECT 1")
     except sqlite3.Error as exc:
@@ -50,23 +51,19 @@ def open_readonly(path: str | Path) -> sqlite3.Connection:
 
 
 def run_query(
-    database: str | Path | sqlite3.Connection, sql: str, timeout: float = 30.0
+    conn: sqlite3.Connection, sql: str, timeout: float = 30.0
 ) -> tuple[list[tuple], int]:
-    """Execute one statement, returning (rows, column_count).
+    """Execute one statement on an open_readonly handle, returning (rows, column_count).
 
     Raises QueryFailure on any execution error ("timeout after ...s" when
     the wall-clock cutoff interrupted the statement, "not a query" for
-    blank or comment-only text), and DatabaseUnavailable when the
-    database itself cannot be opened.
+    blank or comment-only text).
     """
-    own_connection = not isinstance(database, sqlite3.Connection)
-    conn = open_readonly(database) if own_connection else database
     deadline = time.monotonic() + timeout
 
     def over_deadline():
         return 1 if time.monotonic() > deadline else 0
 
-    conn.set_authorizer(_authorize)
     conn.set_progress_handler(over_deadline, 10_000)
     try:
         cursor = conn.execute(sql)
@@ -81,6 +78,3 @@ def run_query(
         raise QueryFailure(str(exc)) from exc
     finally:
         conn.set_progress_handler(None, 0)
-        conn.set_authorizer(None)
-        if own_connection:
-            conn.close()

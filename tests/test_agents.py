@@ -3,6 +3,7 @@
 import hashlib
 import random
 import sqlite3
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from acsql.agents import (
     extract_sql,
     parse_verdict,
 )
-from acsql.sqlexec import DatabaseUnavailable
+from acsql.sqlexec import DatabaseUnavailable, open_readonly, run_query
 from doubles import ScriptedActor, ScriptedCritic
 
 TONNAGE_QUESTION = (
@@ -155,6 +156,18 @@ class TestParseVerdict:
         assert parse_verdict(reply) is expected
 
 
+WRITE_STATEMENTS = (
+    "INSERT INTO battle VALUES (9, 'x', '9', 'a', 'b', 'c')",
+    "DELETE FROM death",
+    "UPDATE ship SET tonnage = '0'",
+    "DROP TABLE battle",
+    # read-only mode alone lets these change the connection
+    "CREATE TEMP TABLE item AS SELECT 99 AS x",
+    "ATTACH ':memory:' AS m",
+    "PRAGMA query_only=0",
+)
+
+
 class TestExecutionCritic:
     def test_accepts_valid_query(self, battle_db):
         verdict = execution_critic("SELECT killed FROM death", battle_db)
@@ -183,24 +196,8 @@ class TestExecutionCritic:
         assert "t" in verdict.detail
 
     def test_rejects_write_statements(self, battle_db):
-        # by path, and on a caller's own read-only handle
-        bare = sqlite3.connect(f"file:{battle_db}?mode=ro", uri=True)
-        try:
-            for database in (battle_db, bare):
-                for sql in (
-                    "INSERT INTO battle VALUES (9, 'x', '9', 'a', 'b', 'c')",
-                    "DELETE FROM death",
-                    "UPDATE ship SET tonnage = '0'",
-                    "DROP TABLE battle",
-                    # read-only mode alone lets these change the connection
-                    "CREATE TEMP TABLE item AS SELECT 99 AS x",
-                    "ATTACH ':memory:' AS m",
-                    "PRAGMA query_only=0",
-                ):
-                    verdict = execution_critic(sql, database)
-                    assert not verdict.accepted, (database, sql)
-        finally:
-            bare.close()
+        for sql in WRITE_STATEMENTS:
+            assert not execution_critic(sql, battle_db).accepted, sql
 
     def test_rejects_on_timeout(self, battle_db):
         verdict = execution_critic(
@@ -227,13 +224,18 @@ class TestExecutionCritic:
         with pytest.raises(DatabaseUnavailable):
             execution_critic("SELECT 1", tmp_path / "missing.sqlite")
 
-    def test_accepts_connection_handle(self, battle_db):
-        conn = sqlite3.connect(f"file:{battle_db}?mode=ro", uri=True)
-        try:
-            assert execution_critic("SELECT 1", conn).accepted
-            assert not execution_critic("SELECT nope FROM death", conn).accepted
-        finally:
-            conn.close()
+
+
+class TestReadonlyHandle:
+    def test_refuses_writes_from_the_first_statement(self, battle_db):
+        before = hashlib.sha256(battle_db.read_bytes()).hexdigest()
+        with closing(open_readonly(battle_db)) as conn:
+            rows = run_query(conn, "SELECT * FROM death")
+            for sql in WRITE_STATEMENTS:
+                with pytest.raises(sqlite3.DatabaseError):
+                    conn.execute(sql)
+            assert run_query(conn, "SELECT * FROM death") == rows
+        assert hashlib.sha256(battle_db.read_bytes()).hexdigest() == before
 
 
 class _FixedJudge:
