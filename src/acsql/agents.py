@@ -143,7 +143,8 @@ def parse_verdict(llm_reply: str) -> bool:
 def execution_critic(candidate_sql: str, database: str | Path, timeout: float = 5.0) -> Verdict:
     """Accept iff the candidate executes without error on a read-only handle.
 
-    The candidate runs on a handle opened for it and closed after it.
+    The candidate runs to its end on a handle opened for it and closed
+    after it; none of its rows are kept.
     An empty result set still accepts; syntax errors, unknown
     tables/columns, any statement but a query (writes, temp tables,
     ATTACH and PRAGMA, refused by the open_readonly handle), blank or
@@ -153,7 +154,7 @@ def execution_critic(candidate_sql: str, database: str | Path, timeout: float = 
     """
     with closing(open_readonly(database)) as conn:
         try:
-            run_query(conn, candidate_sql, timeout=timeout)
+            run_query(conn, candidate_sql, timeout=timeout, max_rows=0)
         except QueryFailure as exc:
             return Verdict(accepted=False, source="execution", detail=str(exc))
     return Verdict(accepted=True, source="execution", detail="")

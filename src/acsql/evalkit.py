@@ -120,11 +120,14 @@ def _prediction_matches(
     gold: tuple[list[tuple], int],
     timeout: float,
 ) -> bool:
+    gold_rows, gold_cols = gold
     try:
-        predicted_rows, predicted_cols = run_query(conn, predicted_sql, timeout=timeout)
+        # one row past the gold's count already makes the prediction wrong
+        predicted_rows, predicted_cols = run_query(
+            conn, predicted_sql, timeout=timeout, max_rows=len(gold_rows) + 1
+        )
     except QueryFailure:
         return False
-    gold_rows, gold_cols = gold
     if predicted_cols != gold_cols:
         return False
     return result_sets_match(predicted_rows, gold_rows, has_top_level_order_by(gold_sql))

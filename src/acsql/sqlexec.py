@@ -13,6 +13,7 @@ one sees. A progress handler interrupts statements that outlive the
 timeout, and the handle stays usable after an interrupt.
 """
 
+import itertools
 import sqlite3
 import time
 from pathlib import Path
@@ -51,13 +52,15 @@ def open_readonly(path: str | Path) -> sqlite3.Connection:
 
 
 def run_query(
-    conn: sqlite3.Connection, sql: str, timeout: float = 30.0
+    conn: sqlite3.Connection, sql: str, timeout: float = 30.0, max_rows: int | None = None
 ) -> tuple[list[tuple], int]:
     """Execute one statement on an open_readonly handle, returning (rows, column_count).
 
-    Raises QueryFailure on any execution error ("timeout after ...s" when
-    the wall-clock cutoff interrupted the statement, "not a query" for
-    blank or comment-only text).
+    The statement always runs to completion, so an error in any row
+    fails it, but only its first max_rows rows are kept (all of them
+    when max_rows is None). Raises QueryFailure on any execution error
+    ("timeout after ...s" when the wall-clock cutoff interrupted the
+    statement, "not a query" for blank or comment-only text).
     """
     deadline = time.monotonic() + timeout
 
@@ -67,7 +70,9 @@ def run_query(
     conn.set_progress_handler(over_deadline, 10_000)
     try:
         cursor = conn.execute(sql)
-        rows = cursor.fetchall()
+        rows = list(itertools.islice(cursor, max_rows))
+        for _ in cursor:  # a row past max_rows can still raise a runtime error
+            pass
         if cursor.description is None:
             raise QueryFailure("not a query")
         return rows, len(cursor.description)

@@ -4,8 +4,10 @@ import itertools
 import random
 import shutil
 import sqlite3
+import tracemalloc
 import warnings
 from collections import Counter
+from contextlib import closing
 from dataclasses import replace
 
 import pytest
@@ -16,6 +18,7 @@ from acsql.agents import (
     StochasticCritic,
     Verdict,
     build_actor_prompt,
+    execution_critic,
 )
 from acsql.engine import (
     ACConfig,
@@ -39,6 +42,7 @@ from acsql.evalkit import (
     run_tasks,
 )
 from acsql.spider_data import SpiderTask, database_path
+from acsql.sqlexec import QueryFailure, open_readonly, run_query
 from conftest import _parsed_schemas
 from doubles import ScriptedActor
 
@@ -126,6 +130,41 @@ class TestExecutionAccuracy:
             "SELECT count(*) FROM c"
         )
         assert execution_accuracy(slow, "SELECT 1", battle_db, timeout=0.2) is False
+
+
+def _counting(last: int, column: str = "x") -> str:
+    return (
+        f"WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c WHERE x < {last}) "
+        f"SELECT {column} FROM c"
+    )
+
+
+class TestRowLimit:
+    """Callers keep only the rows they compare, yet every statement runs to its end."""
+
+    LONG = _counting(200_000)
+    # 999 rows, then "integer overflow" once x reaches 1000
+    FAILS_LATE = _counting(2000, "abs(-9223372036854775807 - (x >= 1000))")
+
+    def test_long_result_is_not_kept(self, battle_db):
+        tracemalloc.start()
+        try:
+            accepted = execution_critic(self.LONG, battle_db).accepted
+            scored = execution_accuracy(self.LONG, "SELECT killed FROM death", battle_db)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (accepted, scored) == (True, False)
+        assert peak < 5 * 2**20
+
+    def test_error_past_the_kept_rows_still_fails(self, battle_db):
+        with closing(open_readonly(battle_db)) as conn:
+            for max_rows in (0, 5, None):
+                with pytest.raises(QueryFailure, match="integer overflow"):
+                    run_query(conn, self.FAILS_LATE, max_rows=max_rows)
+        verdict = execution_critic(self.FAILS_LATE, battle_db)
+        assert (verdict.accepted, verdict.detail) == (False, "integer overflow")
+        assert execution_accuracy(self.FAILS_LATE, "SELECT killed FROM death", battle_db) is False
 
 
 class TestOrderByDetection:
@@ -358,9 +397,9 @@ class TestScoringPass:
         runs = Counter()
         real_run_query = evalkit.run_query
 
-        def run_query(conn, sql, timeout):
+        def run_query(conn, sql, timeout, max_rows=None):
             runs[sql] += 1
-            return real_run_query(conn, sql, timeout=timeout)
+            return real_run_query(conn, sql, timeout=timeout, max_rows=max_rows)
 
         monkeypatch.setattr(evalkit, "run_query", run_query)
         return runs
