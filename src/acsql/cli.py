@@ -10,7 +10,8 @@ Subcommands:
 Endpoint API keys come only from environment variables (default
 LLM_API_KEY); config files and flags never carry secrets. `eval run` and
 `eval ablation` check every requested mode's settings before the dataset
-is read, so a bad one exits 2 with no trace file written.
+is read, so a bad one exits 2 with no trace file written; `eval ablation`
+also checks every mode's trace log before the first mode runs.
 """
 
 import argparse
@@ -243,6 +244,10 @@ def _exec_timeout(value) -> float:
     return value
 
 
+def _loop_config(config: RunConfig, mode: str) -> ACConfig:
+    return ACConfig(max_iterations=config.max_iterations, critic_mode=mode)
+
+
 def _run_mode(
     config: RunConfig, dataset: LoadedDataset, mode: str, factories: tuple, out_path: str | Path
 ) -> evalkit.RunSummary:
@@ -251,7 +256,7 @@ def _run_mode(
         dataset.tasks,
         dataset.schemas,
         *factories,
-        ACConfig(max_iterations=config.max_iterations, critic_mode=mode),
+        _loop_config(config, mode),
         out_path,
         concurrency=config.concurrency,
     )
@@ -297,6 +302,10 @@ def _cmd_eval(args) -> int:
             raise UsageError(f"--modes names a mode more than once: {args.modes}")
         factories = {mode: _build_factories(config, mode) for mode in modes}
         dataset = _load_run_dataset(config)
+        for mode in modes:  # refuse another run's log before the first mode runs
+            evalkit.done_task_ids(
+                dataset.tasks, _loop_config(config, mode), evalkit.ablation_log(args.out_dir, mode)
+            )
         summaries = []
         reports = evalkit.run_ablation(
             lambda mode, out_path: summaries.append(

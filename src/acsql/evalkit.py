@@ -388,6 +388,34 @@ class RunSummary:
     failed: list[tuple[str, str]] = field(default_factory=list)
 
 
+def done_task_ids(
+    tasks: Sequence[SpiderTask], config: ACConfig, out_path: str | Path
+) -> set[str]:
+    """Ids of the tasks already traced in out_path, checked for a resume.
+
+    A last line cut short by a crash is dropped first, so its task runs
+    again and the next trace starts on a fresh line. A trace in out_path
+    with another config, or with another task under one of these task
+    ids, raises ValueError. A missing out_path has no traces.
+    """
+    out_path = Path(out_path)
+    if not out_path.exists():
+        return set()
+    _drop_partial_last_line(out_path)
+    by_id = {task.task_id: task for task in tasks}
+    done = set()
+    for trace in read_traces(out_path):
+        task_id = trace.task.task_id
+        if trace.config != config:
+            raise ValueError(f"{out_path} holds task {task_id!r} run with {trace.config}, "
+                             f"not {config}; resume with the same settings or start a new log")
+        if by_id.get(task_id, trace.task) != trace.task:
+            raise ValueError(f"{out_path} holds task {task_id!r} with another db_id, "
+                             "question or gold than the tasks file; start a new log")
+        done.add(task_id)
+    return done
+
+
 def run_tasks(
     tasks: Sequence[SpiderTask],
     schemas: SchemaIndex,
@@ -400,28 +428,13 @@ def run_tasks(
     """Run the loop over tasks, appending traces as JSON Lines.
 
     Tasks whose task_id already appears in out_path are skipped so an
-    interrupted run can be re-issued with the same command; a last line
-    cut short by a crash is dropped first, so its task runs again and
-    the next trace starts on a fresh line. A trace in out_path with
-    another config, or with another task under one of these task ids,
-    raises ValueError before any task runs. Actor or database failures
-    are recorded per task and do not abort the batch.
+    interrupted run can be re-issued with the same command; done_task_ids
+    checks the log first and raises ValueError before any task runs when
+    it belongs to another run. Actor or database failures are recorded
+    per task and do not abort the batch.
     """
-    out_path = Path(out_path)
     summary = RunSummary()
-    done: set[str] = set()
-    if out_path.exists():
-        _drop_partial_last_line(out_path)
-        by_id = {task.task_id: task for task in tasks}
-        for trace in read_traces(out_path):
-            task_id = trace.task.task_id
-            if trace.config != config:
-                raise ValueError(f"{out_path} holds task {task_id!r} run with {trace.config}, "
-                                 f"not {config}; resume with the same settings or start a new log")
-            if by_id.get(task_id, trace.task) != trace.task:
-                raise ValueError(f"{out_path} holds task {task_id!r} with another db_id, "
-                                 "question or gold than the tasks file; start a new log")
-            done.add(task_id)
+    done = done_task_ids(tasks, config, out_path)
     pending = [t for t in tasks if t.task_id not in done]
     summary.resumed = len(tasks) - len(pending)
 
@@ -451,6 +464,11 @@ def _drop_partial_last_line(path: Path) -> None:
         f.truncate(f.read().rfind(b"\n") + 1)
 
 
+def ablation_log(out_dir: str | Path, mode: str) -> Path:
+    """The trace log of one critic mode in an ablation's output directory."""
+    return Path(out_dir) / f"traces_{mode}.jsonl"
+
+
 def run_ablation(
     run_mode: Callable[[str, Path], object],
     modes: Sequence[str],
@@ -461,7 +479,7 @@ def run_ablation(
     """Run and score one pass per critic mode.
 
     run_mode(mode, trace_path) writes the mode's traces, which land in
-    <out_dir>/traces_<mode>.jsonl; each report is named after its mode.
+    ablation_log(out_dir, mode); each report is named after its mode.
     When "none" is among the modes and scored a task, its EX becomes the
     baseline for the other rows. Report order follows the requested mode
     order.
@@ -470,7 +488,7 @@ def run_ablation(
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     for mode in modes:
-        out_path = out_dir / f"traces_{mode}.jsonl"
+        out_path = ablation_log(out_dir, mode)
         run_mode(mode, out_path)
         report = evaluate_run(read_traces(out_path), db_dir, dataset_name=dataset_name)
         reports.append(replace(report, mode=mode))

@@ -385,6 +385,23 @@ class TestEvalCommands:
         assert "run with ACConfig(max_iterations=3, critic_mode='llm_only'), not" in err
         assert Path(out_path).read_bytes() == logged
 
+    def test_ablation_checks_every_log_before_the_first_mode(self, capsys, micro_dataset):
+        config_path, _ = _bernoulli_config(micro_dataset, "unused.jsonl", p=0.4)
+        config = json.loads(config_path.read_text())
+        config["critic"] = {"kind": "stochastic", "q": 0.2, "s": 0.1}
+        config_path.write_text(json.dumps(config))
+        out_dir = micro_dataset["root"] / "ablation"
+        argv = ["eval", "ablation", "--config", str(config_path), "--seed", "1",
+                "--out-dir", str(out_dir)]
+        code, _, _ = run_cli(capsys, *argv, "--modes", "both", "--max-iterations", "3")
+        assert code == EXIT_OK
+        logged = (out_dir / "traces_both.jsonl").read_bytes()
+        code, out, err = run_cli(capsys, *argv, "--modes", "none,both", "--max-iterations", "5")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "traces_both.jsonl holds task" in err
+        assert not (out_dir / "traces_none.jsonl").exists()
+        assert (out_dir / "traces_both.jsonl").read_bytes() == logged
+
     def test_log_of_two_runs_is_io_error(self, capsys, micro_dataset):
         config_path, out_path = _bernoulli_config(micro_dataset, "mixed.jsonl", p=0.5)
         for mode, z in (("llm_only", "3"), ("both", "5")):
