@@ -84,20 +84,9 @@ def build_critic_prompt(schema_ddl: str, question: str, candidate_sql: str) -> l
 
 _FENCED_BLOCK = re.compile(r"```[a-zA-Z0-9_+-]*\n?(.*?)```", re.DOTALL)
 _SQL_KEYWORD = re.compile(r"\b(select|with|insert|update|delete|create)\b", re.IGNORECASE)
-
-
-def _first_unquoted_semicolon(text: str, start: int) -> int:
-    quote: str | None = None
-    for i in range(start, len(text)):
-        ch = text[i]
-        if quote is not None:
-            if ch == quote:
-                quote = None
-        elif ch in ("'", '"'):
-            quote = ch
-        elif ch == ";":
-            return i
-    return -1
+# Text up to and including the first semicolon outside '...' and "...";
+# possessive, so a reply with no such semicolon fails without backtracking.
+_THROUGH_UNQUOTED_SEMICOLON = re.compile(r"""(?:[^'";]++|'[^']*+'|"[^"]*+")*+;""")
 
 
 def extract_sql(actor_raw_output: str) -> str:
@@ -116,10 +105,10 @@ def extract_sql(actor_raw_output: str) -> str:
     if not match:
         return text
     start = match.start()
-    end = _first_unquoted_semicolon(text, start)
-    if end == -1:
+    statement = _THROUGH_UNQUOTED_SEMICOLON.match(text, start)
+    if statement is None:
         return text[start:].strip()
-    return text[start : end + 1].strip()
+    return text[start : statement.end()].strip()
 
 
 def parse_verdict(llm_reply: str) -> bool:

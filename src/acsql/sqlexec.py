@@ -37,7 +37,13 @@ def _authorize(action: int, *_details) -> int:
 
 
 def open_readonly(path: str | Path) -> sqlite3.Connection:
-    """Open a read-only handle that refuses every statement but a query."""
+    """Open a read-only handle that refuses every statement but a query.
+
+    The open reads the file's first page, so a file that is not a SQLite
+    database raises DatabaseUnavailable here rather than failing each
+    query. A 0-byte file still opens, as an empty database: that is
+    SQLite's own rule.
+    """
     p = Path(path)
     if not p.is_file():
         raise DatabaseUnavailable(f"database file not found: {p}")
@@ -45,7 +51,7 @@ def open_readonly(path: str | Path) -> sqlite3.Connection:
         conn = sqlite3.connect(f"file:{p}?mode=ro", uri=True)
         conn.set_authorizer(_authorize)
         conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
-        conn.execute("SELECT 1")
+        conn.execute("SELECT count(*) FROM sqlite_master")
     except sqlite3.Error as exc:
         raise DatabaseUnavailable(f"cannot open {p} read-only: {exc}") from exc
     return conn

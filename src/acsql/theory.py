@@ -146,7 +146,12 @@ def classify_gain(q: float, s: float) -> GainRegion:
 
     Below the boundary (q + s < 1) the loop can only improve on the bare
     actor, independent of p and z (for z > 1, p strictly between 0 and 1);
-    above it, only degrade.
+    above it, only degrade. This holds for the paper's independent drafts
+    only. When a draft depends on the one before it, the boundary is not
+    neutral: at q = 0.4, s = 0.6, z = 5, a first draft correct with
+    probability 0.3774 and a redraft correct with probability 0.9 after a
+    correct draft, 0.2 after a wrong one, the loop emits a correct query
+    with probability 0.4644.
     """
     check_prob(q, "q")
     check_prob(s, "s")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acsql import agents
 from acsql.agents import (
     CORRECT_SQL,
     WRONG_SQL,
@@ -137,6 +138,29 @@ class TestExtractSql:
         out = extract_sql(raw)
         assert isinstance(out, str)
 
+    @staticmethod
+    def _first_unquoted_semicolon(text, start):
+        """Reference scan: index of the first ; outside quotes, or -1."""
+        quote = None
+        for i in range(start, len(text)):
+            ch = text[i]
+            if quote is not None:
+                if ch == quote:
+                    quote = None
+            elif ch in ("'", '"'):
+                quote = ch
+            elif ch == ";":
+                return i
+        return -1
+
+    @given(st.text(alphabet="ab;'\" \n", max_size=60), st.integers(0, 60))
+    @settings(max_examples=500)
+    def test_semicolon_pattern_matches_reference_scan(self, text, start):
+        start = min(start, len(text))
+        statement = agents._THROUGH_UNQUOTED_SEMICOLON.match(text, start)
+        got = -1 if statement is None else statement.end() - 1
+        assert got == self._first_unquoted_semicolon(text, start)
+
 
 class TestParseVerdict:
     @pytest.mark.parametrize(
@@ -223,6 +247,17 @@ class TestExecutionCritic:
     def test_missing_database_is_task_error(self, tmp_path):
         with pytest.raises(DatabaseUnavailable):
             execution_critic("SELECT 1", tmp_path / "missing.sqlite")
+
+    def test_non_database_file_is_task_error(self, tmp_path):
+        text = tmp_path / "text.sqlite"
+        text.write_text("not a database\n")
+        with pytest.raises(DatabaseUnavailable, match="file is not a database"):
+            execution_critic("SELECT name FROM sqlite_master", text)
+
+    def test_empty_file_opens_as_empty_database(self, tmp_path):
+        empty = tmp_path / "empty.sqlite"
+        empty.touch()
+        assert execution_critic("SELECT name FROM sqlite_master", empty).accepted
 
 
 

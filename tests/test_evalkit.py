@@ -515,6 +515,25 @@ class TestScoringPass:
         assert [db_id for db_id, _ in opened] == ["battle_death", "battle_death"]
         self._assert_all_closed(opened)
 
+    def test_non_database_file_excluded_without_running_its_gold(
+        self, spider_layout, opened, sql_runs
+    ):
+        db_dir = spider_layout["db_dir"]
+        (db_dir / "text").mkdir()
+        (db_dir / "text" / "text.sqlite").write_text("not a database\n")
+        text_gold = "SELECT name FROM sqlite_master"
+        traces = [
+            _trace("t1", [text_gold], [True], text_gold, 2, db_id="text"),
+            _trace("t2", [self.SAME_ROWS], [True], self.GOLD, 2),
+        ]
+        report = evaluate_run(traces, db_dir)
+        assert (report.n_tasks, report.n_excluded, report.ex) == (1, 1, 1.0)
+        estimate = estimate_pqs(traces, db_dir)
+        assert estimate.n_excluded == 1 and estimate.counts.first_pass_total == 1
+        # the file never opens, so its task is a missing database, not a failing gold
+        assert text_gold not in sql_runs
+        assert [db_id for db_id, _ in opened] == ["battle_death", "battle_death"]
+
     def test_equals_per_pair_scoring_in_every_order(self, spider_layout):
         db_dir = spider_layout["db_dir"]
         _add_database(db_dir, "copy")

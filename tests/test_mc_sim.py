@@ -147,6 +147,25 @@ def test_chunked_pool_matches_single_block_bit_for_bit(monkeypatch, z, cpus):
         assert report.estimated_accuracy == sum(expected) / 3, trials
 
 
+@pytest.mark.parametrize(
+    "p,q,s",
+    [
+        (0.37, 1.0, 0.0),  # every trial stops at its first verdict
+        (0.37, 0.0, 1.0),  # no trial ever stops
+        (0.0, 0.61, 0.23),
+        (1.0, 0.61, 0.23),
+    ],
+)
+@pytest.mark.parametrize("z", [2, 20])
+def test_degenerate_cells_match_single_block_bit_for_bit(p, q, s, z):
+    chunk = mc_sim._CHUNK_ROWS
+    params = ACParams(p, q, s, z)
+    for trials in (1, chunk - 1, chunk + 1, 2 * chunk + 3):
+        config = SimulationConfig(params, trials=trials, repeats=2, seed=77 + z)
+        expected = tuple(_single_block_estimate(params, trials, config.seed, r) for r in range(2))
+        assert simulate(config).per_repeat_estimates == expected, trials
+
+
 def test_peak_allocation_does_not_grow_with_trials():
     config = SimulationConfig(ACParams(0.5, 0.3, 0.2, 20), trials=1_000_000, repeats=2, seed=1)
     tracemalloc.start()
