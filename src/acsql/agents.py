@@ -84,9 +84,10 @@ def build_critic_prompt(schema_ddl: str, question: str, candidate_sql: str) -> l
 
 _FENCED_BLOCK = re.compile(r"```[a-zA-Z0-9_+-]*\n?(.*?)```", re.DOTALL)
 _SQL_KEYWORD = re.compile(r"\b(select|with|insert|update|delete|create)\b", re.IGNORECASE)
-# Text up to and including the first semicolon outside '...' and "...";
-# possessive, so a reply with no such semicolon fails without backtracking.
-_THROUGH_UNQUOTED_SEMICOLON = re.compile(r"""(?:[^'";]++|'[^']*+'|"[^"]*+")*+;""")
+# Text up to and including the first semicolon outside '...' and "...".
+# Unrolled: each repeat of the group starts at a quote, so the text splits
+# one way only and a reply with no such semicolon fails in linear time.
+_THROUGH_UNQUOTED_SEMICOLON = re.compile(r"""[^'";]*(?:(?:'[^']*'|"[^"]*")[^'";]*)*;""")
 
 
 def extract_sql(actor_raw_output: str) -> str:

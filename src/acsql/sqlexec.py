@@ -47,12 +47,15 @@ def open_readonly(path: str | Path) -> sqlite3.Connection:
     p = Path(path)
     if not p.is_file():
         raise DatabaseUnavailable(f"database file not found: {p}")
+    conn = None
     try:
         conn = sqlite3.connect(f"file:{p}?mode=ro", uri=True)
         conn.set_authorizer(_authorize)
         conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
         conn.execute("SELECT count(*) FROM sqlite_master")
     except sqlite3.Error as exc:
+        if conn is not None:
+            conn.close()
         raise DatabaseUnavailable(f"cannot open {p} read-only: {exc}") from exc
     return conn
 

@@ -248,11 +248,22 @@ class TestExecutionCritic:
         with pytest.raises(DatabaseUnavailable):
             execution_critic("SELECT 1", tmp_path / "missing.sqlite")
 
-    def test_non_database_file_is_task_error(self, tmp_path):
+    def test_non_database_file_is_task_error(self, tmp_path, monkeypatch):
         text = tmp_path / "text.sqlite"
         text.write_text("not a database\n")
+        opened = []
+        connect = sqlite3.connect
+
+        def spy(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", spy)
         with pytest.raises(DatabaseUnavailable, match="file is not a database"):
             execution_critic("SELECT name FROM sqlite_master", text)
+        assert len(opened) == 1
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            opened[0].execute("SELECT 1")  # the failed open left no handle behind
 
     def test_empty_file_opens_as_empty_database(self, tmp_path):
         empty = tmp_path / "empty.sqlite"
