@@ -9,9 +9,10 @@ Subcommands:
 
 Endpoint API keys come only from environment variables (default
 LLM_API_KEY); config files and flags never carry secrets. `eval run` and
-`eval ablation` check every requested mode's settings before the dataset
-is read, so a bad one exits 2 with no trace file written; `eval ablation`
-also checks every mode's trace log before the first mode runs.
+`eval ablation` share one run path, which checks every requested mode's
+settings before the dataset is read, so a bad one exits 2 with no trace
+file or directory written, and checks every mode's trace log before the
+first mode runs. `eval ablation` scores the logs after every mode ran.
 """
 
 import argparse
@@ -20,7 +21,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import evalkit, mc_sim, theory
@@ -34,7 +35,7 @@ from .agents import (
 )
 from .engine import ACConfig, TraceFormatError, read_traces
 from .llm_client import EndpointConfig, TransportError
-from .spider_data import DatasetFormatError, LoadedDataset, database_path, load_dataset
+from .spider_data import DatasetFormatError, database_path, load_dataset
 from .sqlexec import DatabaseUnavailable
 
 EXIT_OK = 0
@@ -64,16 +65,12 @@ class UsageError(ValueError):
     pass
 
 
-# Config keys of each actor and critic kind; an `llm` agent's keys name the
-# EndpointConfig fields they set (EndpointConfig holds defaults, checks values).
-_ENDPOINT_FIELDS = {
-    "base_url": "base_url", "model": "model_name", "api_key_env": "api_key_env_var",
-    "temperature": "temperature", "max_tokens": "max_tokens", "timeout": "timeout",
-    "max_retries": "max_retries", "retry_backoff": "retry_backoff",
-}
+# Config keys of each actor and critic kind; an `llm` agent's keys are the
+# EndpointConfig fields (EndpointConfig holds defaults, checks values).
+_ENDPOINT_KEYS = tuple(f.name for f in fields(EndpointConfig))
 _AGENT_KEYS = {
-    "actor": {"llm": tuple(_ENDPOINT_FIELDS), "bernoulli": ("p",)},
-    "critic": {"llm": tuple(_ENDPOINT_FIELDS), "stochastic": ("q", "s")},
+    "actor": {"llm": _ENDPOINT_KEYS, "bernoulli": ("p",)},
+    "critic": {"llm": _ENDPOINT_KEYS, "stochastic": ("q", "s")},
 }
 
 
@@ -98,10 +95,10 @@ def _agent_settings(config: RunConfig, role: str) -> tuple[dict, tuple[float, ..
 
 
 def _endpoint_from(settings: dict, default_temperature: float) -> EndpointConfig:
-    kwargs = {"model_name": "default", "temperature": default_temperature}
+    kwargs = {"model": "default", "temperature": default_temperature}
     for key, value in settings.items():
         if key != "kind":
-            kwargs[_ENDPOINT_FIELDS[key]] = tuple(value) if isinstance(value, list) else value
+            kwargs[key] = tuple(value) if isinstance(value, list) else value
     return EndpointConfig(**kwargs)
 
 
@@ -111,9 +108,8 @@ def _stable_rng(seed: int, task_id: str, role: str) -> random.Random:
 
 
 def _build_factories(config: RunConfig, mode: str):
-    """Check one critic mode and its agents' settings; return per-task agent factories."""
-    if not isinstance(mode, str) or mode not in CRITIC_MODES:
-        raise UsageError(f"invalid mode {mode!r}")
+    """Check one mode and its agents' settings; return its ACConfig and per-task agent factories."""
+    loop_config = ACConfig(max_iterations=config.max_iterations, critic_mode=mode)
     actor_settings, actor_probs = _agent_settings(config, "actor")
     endpoint = None
     if actor_probs is None:
@@ -151,7 +147,7 @@ def _build_factories(config: RunConfig, mode: str):
             mode, database=database, llm_judge=llm_judge, timeout=config.exec_timeout
         )
 
-    return actor_factory, critic_factory
+    return loop_config, actor_factory, critic_factory
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +222,9 @@ def _load_run_config(args) -> RunConfig:
             raise UsageError(f"{name} must be a string, got {getattr(config, name)!r}")
         if name != "out" and not getattr(config, name):
             raise UsageError(f"missing required setting: {name}")
-    for name in ("max_iterations", "concurrency"):
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise UsageError(f"{name.replace('_', '-')} must be an integer >= 1, got {value!r}")
+    concurrency = config.concurrency
+    if isinstance(concurrency, bool) or not isinstance(concurrency, int) or concurrency < 1:
+        raise UsageError(f"concurrency must be an integer >= 1, got {concurrency!r}")
     seed = config.seed
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise UsageError(f"seed must be an integer, got {seed!r}")
@@ -244,25 +239,30 @@ def _exec_timeout(value) -> float:
     return value
 
 
-def _loop_config(config: RunConfig, mode: str) -> ACConfig:
-    return ACConfig(max_iterations=config.max_iterations, critic_mode=mode)
+def _run_modes(config: RunConfig, logs: dict[str | Path, str]) -> list[evalkit.RunSummary]:
+    """Run each critic mode over the dataset into its trace log, in order.
 
-
-def _run_mode(
-    config: RunConfig, dataset: LoadedDataset, mode: str, factories: tuple, out_path: str | Path
-) -> evalkit.RunSummary:
-    """Run one critic mode over the dataset; failed task ids go to stderr."""
-    summary = evalkit.run_tasks(
-        dataset.tasks,
-        dataset.schemas,
-        *factories,
-        _loop_config(config, mode),
-        out_path,
-        concurrency=config.concurrency,
-    )
-    for task_id, reason in summary.failed:
-        print(f"  [{mode}] {task_id}: {reason}", file=sys.stderr)
-    return summary
+    logs maps each trace log to the mode that writes it. Every mode's settings
+    and every log are checked before the first mode runs, and a log's parent
+    directory is made just before its mode runs. Failed task ids go to stderr.
+    """
+    runs = {out_path: _build_factories(config, mode) for out_path, mode in logs.items()}
+    dataset = load_dataset(config.tasks, config.tables, config.db_dir)
+    if dataset.unloadable:
+        print(dataset.load_report(), file=sys.stderr)
+    for out_path, (loop_config, _, _) in runs.items():
+        evalkit.done_task_ids(dataset.tasks, loop_config, out_path)
+    summaries = []
+    for out_path, (loop_config, actor_factory, critic_factory) in runs.items():
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+        summary = evalkit.run_tasks(
+            dataset.tasks, dataset.schemas, actor_factory, critic_factory, loop_config,
+            out_path, concurrency=config.concurrency,
+        )
+        for task_id, reason in summary.failed:
+            print(f"  [{loop_config.critic_mode}] {task_id}: {reason}", file=sys.stderr)
+        summaries.append(summary)
+    return summaries
 
 
 def _exit_status(summaries: list[evalkit.RunSummary]) -> int:
@@ -272,26 +272,18 @@ def _exit_status(summaries: list[evalkit.RunSummary]) -> int:
     return EXIT_OK
 
 
-def _load_run_dataset(config: RunConfig) -> LoadedDataset:
-    dataset = load_dataset(config.tasks, config.tables, config.db_dir)
-    if dataset.unloadable:
-        print(dataset.load_report(), file=sys.stderr)
-    return dataset
-
-
 def _cmd_eval(args) -> int:
     if args.eval_cmd == "run":
         config = _load_run_config(args)
         if not config.out:
             raise UsageError("missing required setting: out")
-        factories = _build_factories(config, config.mode)
-        dataset = _load_run_dataset(config)
-        summary = _run_mode(config, dataset, config.mode, factories, config.out)
+        summaries = _run_modes(config, {config.out: config.mode})
+        summary = summaries[0]
         print(
             f"traces written: {summary.written}, resumed: {summary.resumed}, "
             f"failed: {len(summary.failed)}"
         )
-        return _exit_status([summary])
+        return _exit_status(summaries)
 
     if args.eval_cmd == "ablation":
         config = _load_run_config(args)
@@ -300,22 +292,14 @@ def _cmd_eval(args) -> int:
             raise UsageError("--modes must name at least one mode")
         if len(set(modes)) < len(modes):
             raise UsageError(f"--modes names a mode more than once: {args.modes}")
-        factories = {mode: _build_factories(config, mode) for mode in modes}
-        dataset = _load_run_dataset(config)
-        for mode in modes:  # refuse another run's log before the first mode runs
-            evalkit.done_task_ids(
-                dataset.tasks, _loop_config(config, mode), evalkit.ablation_log(args.out_dir, mode)
-            )
-        summaries = []
-        reports = evalkit.run_ablation(
-            lambda mode, out_path: summaries.append(
-                _run_mode(config, dataset, mode, factories[mode], out_path)
-            ),
-            modes,
-            args.out_dir,
-            config.db_dir,
-            dataset_name=Path(config.tasks).stem,
-        )
+        logs = {evalkit.ablation_log(args.out_dir, mode): mode for mode in modes}
+        summaries = _run_modes(config, logs)
+        name = Path(config.tasks).stem
+        reports = evalkit.with_baseline([
+            replace(evalkit.evaluate_run(read_traces(path), config.db_dir, dataset_name=name),
+                    mode=mode)
+            for path, mode in logs.items()
+        ])
         print(evalkit.format_reports(reports))
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
         return _exit_status(summaries)

@@ -50,9 +50,10 @@ class ACConfig:
     critic_mode: str = "both"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if self.critic_mode not in CRITIC_MODES:
+        z = self.max_iterations
+        if isinstance(z, bool) or not isinstance(z, int) or z < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {z!r}")
+        if not isinstance(self.critic_mode, str) or self.critic_mode not in CRITIC_MODES:
             raise ValueError(
                 f"critic_mode must be one of {tuple(CRITIC_MODES)}, got {self.critic_mode!r}"
             )

@@ -1,4 +1,4 @@
-"""Execution-accuracy scoring, run reports, ablations, and rate estimation.
+"""Execution-accuracy scoring, run reports, batch runs, and rate estimation.
 
 A prediction scores correct when its result set matches the gold SQL's
 result set on the task database: compared as multisets unless the gold
@@ -15,6 +15,9 @@ raises, so at most one is open and nothing outlives the call. A trace
 log that holds a task_id twice is refused with TraceFormatError rather
 than scored twice.
 execution_accuracy scores one pair with the same comparison code.
+
+run_tasks writes one resumable trace log; an ablation scores one log per
+mode (ablation_log) and with_baseline makes the "none" row's EX the baseline.
 """
 
 import itertools
@@ -469,33 +472,9 @@ def ablation_log(out_dir: str | Path, mode: str) -> Path:
     return Path(out_dir) / f"traces_{mode}.jsonl"
 
 
-def run_ablation(
-    run_mode: Callable[[str, Path], object],
-    modes: Sequence[str],
-    out_dir: str | Path,
-    db_dir: str | Path,
-    dataset_name: str = "",
-) -> list[EvalReport]:
-    """Run and score one pass per critic mode.
-
-    run_mode(mode, trace_path) writes the mode's traces, which land in
-    ablation_log(out_dir, mode); each report is named after its mode.
-    When "none" is among the modes and scored a task, its EX becomes the
-    baseline for the other rows. Report order follows the requested mode
-    order.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    for mode in modes:
-        out_path = ablation_log(out_dir, mode)
-        run_mode(mode, out_path)
-        report = evaluate_run(read_traces(out_path), db_dir, dataset_name=dataset_name)
-        reports.append(replace(report, mode=mode))
-    baseline = reports[modes.index("none")].ex if "none" in modes else None
+def with_baseline(reports: Sequence[EvalReport]) -> list[EvalReport]:
+    """The reports in order, the "none" row's EX (if it scored a task) the others' baseline."""
+    baseline = next((r.ex for r in reports if r.mode == "none"), None)
     if baseline is None:
-        return reports
-    return [
-        r if mode == "none" else replace(r, baseline_ex=baseline)
-        for mode, r in zip(modes, reports)
-    ]
+        return list(reports)
+    return [r if r.mode == "none" else replace(r, baseline_ex=baseline) for r in reports]

@@ -59,8 +59,8 @@ class ChatMessage:
 @dataclass(frozen=True)
 class EndpointConfig:
     base_url: str
-    model_name: str
-    api_key_env_var: str = "LLM_API_KEY"
+    model: str
+    api_key_env: str = "LLM_API_KEY"
     temperature: float = 0.0
     max_tokens: int = 512
     timeout: float = 60.0
@@ -72,7 +72,7 @@ class EndpointConfig:
         if not (isinstance(self.base_url, str)
                 and urllib.parse.urlsplit(self.base_url).scheme in ("http", "https")):
             raise ValueError(f"base_url must be an http(s) URL, got {self.base_url!r}")
-        for name in ("model_name", "api_key_env_var"):
+        for name in ("model", "api_key_env"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         # The request body is strict JSON, which has no NaN or Infinity.
@@ -121,14 +121,14 @@ def complete(config: EndpointConfig, messages: list[ChatMessage]) -> str:
 
     url = config.base_url.rstrip("/") + "/chat/completions"
     payload = {
-        "model": config.model_name,
+        "model": config.model,
         "messages": [{"role": m.role, "content": m.content} for m in messages],
         "temperature": config.temperature,
         "max_tokens": config.max_tokens,
     }
     data = json.dumps(payload, allow_nan=False).encode()
     headers = {"Content-Type": "application/json"}
-    api_key = os.environ.get(config.api_key_env_var)
+    api_key = os.environ.get(config.api_key_env)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
 

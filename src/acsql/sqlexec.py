@@ -42,14 +42,16 @@ def open_readonly(path: str | Path) -> sqlite3.Connection:
     The open reads the file's first page, so a file that is not a SQLite
     database raises DatabaseUnavailable here rather than failing each
     query. A 0-byte file still opens, as an empty database: that is
-    SQLite's own rule.
+    SQLite's own rule. The path goes into the URI percent-encoded, so a
+    `#`, `?` or `%` in it names a file rather than ending or escaping
+    the path.
     """
     p = Path(path)
     if not p.is_file():
         raise DatabaseUnavailable(f"database file not found: {p}")
     conn = None
     try:
-        conn = sqlite3.connect(f"file:{p}?mode=ro", uri=True)
+        conn = sqlite3.connect(f"{p.absolute().as_uri()}?mode=ro", uri=True)
         conn.set_authorizer(_authorize)
         conn.text_factory = lambda b: b.decode("utf-8", errors="replace")
         conn.execute("SELECT count(*) FROM sqlite_master")

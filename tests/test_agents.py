@@ -24,6 +24,7 @@ from acsql.agents import (
     extract_sql,
     parse_verdict,
 )
+from acsql.spider_data import database_path
 from acsql.sqlexec import DatabaseUnavailable, open_readonly, run_query
 from doubles import ScriptedActor, ScriptedCritic
 
@@ -282,6 +283,20 @@ class TestReadonlyHandle:
                     conn.execute(sql)
             assert run_query(conn, "SELECT * FROM death") == rows
         assert hashlib.sha256(battle_db.read_bytes()).hexdigest() == before
+
+    @pytest.mark.parametrize("name", ["a#b", "c?e", "f%41g"])
+    def test_opens_the_file_it_was_given(self, tmp_path, battle_db, name):
+        # In a bare "file:" URI, '#' and '?' would end the path and '%' escape it.
+        db_dir = tmp_path / "database"
+        path = database_path(db_dir, name)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(battle_db.read_bytes())
+        files = sorted(db_dir.rglob("*"))
+        with closing(open_readonly(path)) as conn:
+            assert run_query(conn, "SELECT killed FROM death") == ([(12,), (7,), (3,), (12,)], 1)
+            with pytest.raises(sqlite3.DatabaseError):
+                conn.execute("DELETE FROM death")
+        assert sorted(db_dir.rglob("*")) == files
 
 
 class _FixedJudge:

@@ -8,8 +8,9 @@ import pytest
 
 from acsql.agents import CORRECT_SQL, CRITIC_MODES, CompositeCritic
 from acsql.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, RunConfig, _build_factories, build_parser, main
-from acsql.engine import TraceWarning, read_traces
-from acsql.spider_data import SpiderTask
+from acsql.engine import ACConfig, ACTrace, IterationRecord, TraceWarning, read_traces
+from acsql.spider_data import SpiderTask, database_path
+from conftest import write_traces
 from stub_llm import StubLLMServer
 
 
@@ -130,6 +131,7 @@ _BAD_SETTINGS = {
     "p-out-of-range": ({"actor": {"kind": "bernoulli", "p": 1.5}}, "both"),
     "p-quoted": ({"actor": {"kind": "bernoulli", "p": "0.5"}}, "both"),
     "max-iterations-quoted": ({"max_iterations": "5"}, "both"),
+    "max-iterations-bool": ({"max_iterations": True}, "both"),
     "concurrency-quoted": ({"concurrency": "2"}, "both"),
     "concurrency-zero": ({"concurrency": 0}, "both"),
     "unknown-actor-key": ({"actor": {**_DEAD_ENDPOINT, "max_retry": 0}}, "none"),
@@ -440,8 +442,9 @@ class TestEvalCommands:
         "overrides, mode", list(_BAD_SETTINGS.values()), ids=list(_BAD_SETTINGS)
     )
     def test_bad_setting_exits_before_any_task(self, capsys, micro_dataset, overrides, mode):
-        config_path, out_path = _bernoulli_config(micro_dataset, "never.jsonl")
-        config = {**json.loads(config_path.read_text()), "seed": 3}
+        config_path, _ = _bernoulli_config(micro_dataset, "never.jsonl")
+        out_path = micro_dataset["root"] / "missing" / "never.jsonl"  # a run would create "missing"
+        config = {**json.loads(config_path.read_text()), "seed": 3, "out": str(out_path)}
         config = [config] if overrides is None else {**config, **overrides}
         config_path.write_text(json.dumps(config))
         out_dir = micro_dataset["root"] / "never"
@@ -453,7 +456,49 @@ class TestEvalCommands:
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (EXIT_USAGE, ""), argv
             assert err.startswith("error: "), argv
-            assert not Path(out_path).exists() and not out_dir.exists(), argv
+            assert not out_path.parent.exists() and not out_dir.exists(), argv
+
+    def test_config_mode_not_a_string_exits_before_any_task(self, capsys, micro_dataset):
+        config_path, out_path = _bernoulli_config(micro_dataset, "never.jsonl")
+        config = {**json.loads(config_path.read_text()), "mode": ["both"]}
+        config_path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "eval", "run", "--config", str(config_path), "--seed", "3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and "['both']" in err
+        assert not Path(out_path).exists()
+
+    def test_run_makes_the_parent_directory_of_out(self, capsys, micro_dataset):
+        config_path, _ = _bernoulli_config(micro_dataset, "unused.jsonl")
+        out_path = micro_dataset["root"] / "new" / "deeper" / "x.jsonl"
+        code, out, _ = run_cli(
+            capsys, "eval", "run", "--config", str(config_path), "--mode", "none", "--seed", "3",
+            "--out", str(out_path),
+        )
+        assert code == EXIT_OK
+        assert "traces written: 4" in out
+        assert len(read_traces(out_path)) == 4
+
+    @pytest.mark.parametrize("db_id", ["a#b", "c?e"])
+    def test_report_scores_a_database_whose_path_holds_uri_characters(
+        self, capsys, micro_dataset, db_id
+    ):
+        db_dir = Path(micro_dataset["db_dir"])
+        source = database_path(db_dir, "battle_death")
+        target = database_path(db_dir, db_id)
+        target.parent.mkdir()
+        target.write_bytes(source.read_bytes())
+        files = sorted(db_dir.rglob("*"))
+        iteration = IterationRecord(CORRECT_SQL, (), CORRECT_SQL)
+        task = SpiderTask("t00000", db_id, "q?", CORRECT_SQL)
+        out_path = micro_dataset["root"] / "uri.jsonl"
+        write_traces([ACTrace(task, ACConfig(critic_mode="none"), (iteration,))], out_path)
+        code, out, _ = run_cli(
+            capsys, "eval", "report", "--traces", str(out_path), "--db-dir", str(db_dir), "--json"
+        )
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert (report["n_tasks"], report["n_excluded"], report["ex"]) == (1, 0, 1.0)
+        assert sorted(db_dir.rglob("*")) == files
 
 
     @pytest.mark.parametrize("command", ["report", "estimate-pqs"])
@@ -551,7 +596,7 @@ def test_critic_mode_table_drives_cli(capsys, micro_dataset, mode):
     config = RunConfig(
         db_dir=micro_dataset["db_dir"], actor={"base_url": "http://127.0.0.1:9/v1"}
     )
-    _, critic_factory = _build_factories(config, mode)
+    _, _, critic_factory = _build_factories(config, mode)
     critic = critic_factory(SpiderTask("t00000", "battle_death", "q?", CORRECT_SQL))
     components = CRITIC_MODES[mode]
     if not components:

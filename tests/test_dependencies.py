@@ -45,7 +45,7 @@ def test_cli_imports_and_completes_without_requests():
         "sys.modules['requests'] = None\n"
         "import acsql.cli\n"
         "from acsql.llm_client import ChatMessage, EndpointConfig, complete\n"
-        "config = EndpointConfig(base_url=sys.argv[1], model_name='m', max_retries=0)\n"
+        "config = EndpointConfig(base_url=sys.argv[1], model='m', max_retries=0)\n"
         "print(complete(config, [ChatMessage('user', 'x')]))\n"
     )
     env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}

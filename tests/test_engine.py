@@ -113,6 +113,10 @@ class TestRunAcLoop:
             ACConfig(max_iterations=0)
         with pytest.raises(ValueError):
             ACConfig(critic_mode="sometimes")
+        with pytest.raises(ValueError):
+            ACConfig(max_iterations=True)
+        with pytest.raises(ValueError):
+            ACConfig(critic_mode=["both"])
 
     def test_stochastic_loop_tracks_closed_form(self, battle_ddl):
         p, q, s, z = 0.4, 0.3, 0.2, 4

@@ -15,6 +15,7 @@ import pytest
 from acsql.agents import (
     CORRECT_SQL,
     BernoulliActor,
+    CompositeCritic,
     StochasticCritic,
     Verdict,
     build_actor_prompt,
@@ -37,9 +38,10 @@ from acsql.evalkit import (
     evaluate_run,
     execution_accuracy,
     format_reports,
+    ablation_log,
     has_top_level_order_by,
-    run_ablation,
     run_tasks,
+    with_baseline,
 )
 from acsql.spider_data import SpiderTask, database_path
 from acsql.sqlexec import QueryFailure, open_readonly, run_query
@@ -695,41 +697,40 @@ class TestRunTasks:
         assert summary.failed == [("t00003", "\"unknown db_id 'nowhere'\"")]
 
 
+def _ablate(runs, out_dir, db_dir, max_iterations, dataset_name=""):
+    """Run and score each mode as `eval ablation` does; runs maps mode -> factories."""
+    out_dir.mkdir()
+    reports = []
+    for mode, (actor_factory, critic_factory) in runs.items():
+        out_path = ablation_log(out_dir, mode)
+        run_tasks(
+            _micro_tasks(), _parsed_schemas(), actor_factory, critic_factory,
+            ACConfig(max_iterations=max_iterations, critic_mode=mode), out_path, concurrency=1,
+        )
+        report = evaluate_run(read_traces(out_path), db_dir, dataset_name=dataset_name)
+        reports.append(replace(report, mode=mode))
+    return with_baseline(reports)
+
+
 class TestRunAblation:
+    @staticmethod
+    def _scripted(task):
+        return ScriptedActor(_SCRIPTS[task.task_id], cycle_last=True)
+
+    @staticmethod
+    def _execution_critic(db_dir):
+        return lambda task: CompositeCritic(
+            "execution_only", database=database_path(db_dir, task.db_id)
+        )
+
     def test_mode_dependent_ex(self, spider_layout, tmp_path):
-        schemas = _parsed_schemas()
-        tasks = _micro_tasks()
         db_dir = spider_layout["db_dir"]
-
-        def actor_factory(task):
-            return ScriptedActor(_SCRIPTS[task.task_id], cycle_last=True)
-
-        def critic_for_mode(mode, task):
-            if mode == "none":
-                return None
-            assert mode == "execution_only"
-            from acsql.agents import CompositeCritic
-            from acsql.spider_data import database_path
-
-            return CompositeCritic(mode, database=database_path(db_dir, task.db_id))
-
-        def run_mode(mode, out_path):
-            return run_tasks(
-                tasks,
-                schemas,
-                actor_factory,
-                lambda task: critic_for_mode(mode, task),
-                ACConfig(max_iterations=2, critic_mode=mode),
-                out_path,
-                concurrency=1,
-            )
-
-        reports = run_ablation(
-            run_mode,
-            modes=["none", "execution_only"],
-            out_dir=tmp_path / "ablation",
-            db_dir=db_dir,
-            dataset_name="micro",
+        reports = _ablate(
+            {
+                "none": (self._scripted, lambda task: None),
+                "execution_only": (self._scripted, self._execution_critic(db_dir)),
+            },
+            tmp_path / "ablation", db_dir, max_iterations=2, dataset_name="micro",
         )
         # Hand-computed with z=2: baseline emits the first reply of each
         # script (only task C correct -> 1/3); the execution critic fixes
@@ -745,25 +746,9 @@ class TestRunAblation:
         assert (tmp_path / "ablation" / "traces_execution_only.jsonl").exists()
 
     def test_single_mode_equals_baseline_eval(self, spider_layout, tmp_path):
-        schemas = _parsed_schemas()
-        tasks = _micro_tasks()
-
-        def actor_factory(task):
-            return ScriptedActor(_SCRIPTS[task.task_id], cycle_last=True)
-
-        def run_mode(mode, out_path):
-            return run_tasks(
-                tasks,
-                schemas,
-                actor_factory,
-                lambda task: None,
-                ACConfig(max_iterations=5, critic_mode=mode),
-                out_path,
-                concurrency=1,
-            )
-
-        reports = run_ablation(
-            run_mode, modes=["none"], out_dir=tmp_path / "solo", db_dir=spider_layout["db_dir"]
+        reports = _ablate(
+            {"none": (self._scripted, lambda task: None)},
+            tmp_path / "solo", spider_layout["db_dir"], max_iterations=5,
         )
         assert len(reports) == 1
         assert reports[0].mode == "none"
@@ -771,32 +756,18 @@ class TestRunAblation:
         assert reports[0].baseline_ex is None
 
     def test_mode_without_scored_task_has_no_ex(self, spider_layout, tmp_path):
-        schemas = _parsed_schemas()
-        tasks = _micro_tasks()
         db_dir = spider_layout["db_dir"]
 
         class Down:
             def respond(self, messages):
                 raise ConnectionError("endpoint refused")
 
-        def actor_factory(task):
-            return ScriptedActor(_SCRIPTS[task.task_id], cycle_last=True)
-
-        def run_mode(mode, out_path):
-            from acsql.agents import CompositeCritic
-
-            return run_tasks(
-                tasks,
-                schemas,
-                (lambda task: Down()) if mode == "none" else actor_factory,
-                lambda task: CompositeCritic(mode, database=database_path(db_dir, task.db_id)),
-                ACConfig(max_iterations=2, critic_mode=mode),
-                out_path,
-                concurrency=1,
-            )
-
-        reports = run_ablation(
-            run_mode, modes=["none", "execution_only"], out_dir=tmp_path / "ab", db_dir=db_dir
+        reports = _ablate(
+            {
+                "none": (lambda task: Down(), lambda task: None),
+                "execution_only": (self._scripted, self._execution_critic(db_dir)),
+            },
+            tmp_path / "ab", db_dir, max_iterations=2,
         )
         none, execution = reports
         assert (none.mode, none.n_tasks, none.ex) == ("none", 0, None)

@@ -45,7 +45,7 @@ def proxy(monkeypatch):
 def _config(stub, **overrides):
     defaults = dict(
         base_url=stub.base_url,
-        model_name="stub-model",
+        model="stub-model",
         max_retries=3,
         retry_backoff=FAST_BACKOFF,
         timeout=5.0,
@@ -111,7 +111,7 @@ def test_http_proxy_from_environment(proxy):
     # proxy would fail locally instead of looking a name up.
     proxy.handler = lambda body: "via proxy"
     config = EndpointConfig(
-        base_url="http://127.0.0.2:9/v1", model_name="m", max_retries=0, timeout=5.0
+        base_url="http://127.0.0.2:9/v1", model="m", max_retries=0, timeout=5.0
     )
     assert complete(config, [ChatMessage("user", "x")]) == "via proxy"
     assert [r["path"] for r in proxy.requests] == ["http://127.0.0.2:9/v1/chat/completions"]
@@ -151,7 +151,7 @@ def test_https_retries_stay_tunnelled(connect_proxy):
     # in clear text through the tunnel.
     config = EndpointConfig(
         base_url="https://127.0.0.2:9/v1",
-        model_name="m",
+        model="m",
         max_retries=2,
         retry_backoff=FAST_BACKOFF,
         timeout=5.0,
@@ -184,7 +184,7 @@ def test_malformed_response_carries_body(stub):
 
 def test_api_key_read_from_env_at_call_time(stub, monkeypatch):
     stub.handler = lambda body: "ok"
-    config = _config(stub, api_key_env_var="STUB_LLM_KEY")
+    config = _config(stub, api_key_env="STUB_LLM_KEY")
     monkeypatch.delenv("STUB_LLM_KEY", raising=False)
     complete(config, [ChatMessage("user", "x")])
     assert stub.requests[0]["authorization"] is None
@@ -216,11 +216,11 @@ def test_message_validation(stub):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EndpointConfig(base_url="", model_name="m")
+        EndpointConfig(base_url="", model="m")
     with pytest.raises(ValueError):
-        EndpointConfig(base_url="http://x", model_name="m", temperature=-1)
+        EndpointConfig(base_url="http://x", model="m", temperature=-1)
     with pytest.raises(ValueError):
-        EndpointConfig(base_url="http://x", model_name="m", max_tokens=0)
+        EndpointConfig(base_url="http://x", model="m", max_tokens=0)
 
 
 @pytest.mark.parametrize(
@@ -235,4 +235,4 @@ def test_config_validation():
 )
 def test_config_refuses_what_the_client_cannot_send(overrides):
     with pytest.raises(ValueError):
-        EndpointConfig(**{"base_url": "http://x", "model_name": "m", **overrides})
+        EndpointConfig(**{"base_url": "http://x", "model": "m", **overrides})
