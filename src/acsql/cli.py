@@ -239,30 +239,31 @@ def _exec_timeout(value) -> float:
     return value
 
 
-def _run_modes(config: RunConfig, logs: dict[str | Path, str]) -> list[evalkit.RunSummary]:
-    """Run each critic mode over the dataset into its trace log, in order.
+def _run_modes(config: RunConfig, logs: dict[str | Path, str]) -> tuple[int, list[evalkit.RunSummary]]:
+    """Run each critic mode over the tasks its trace log lacks, in order.
 
     logs maps each trace log to the mode that writes it. Every mode's settings
-    and every log are checked before the first mode runs, and a log's parent
-    directory is made just before its mode runs. Failed task ids go to stderr.
+    and every log (evalkit.pending_tasks) are checked before the first mode
+    runs, and a log's parent directory is made just before its mode runs.
+    Failed task ids go to stderr. Returns the dataset's size and the summaries.
     """
     runs = {out_path: _build_factories(config, mode) for out_path, mode in logs.items()}
     dataset = load_dataset(config.tasks, config.tables, config.db_dir)
     if dataset.unloadable:
         print(dataset.load_report(), file=sys.stderr)
-    for out_path, (loop_config, _, _) in runs.items():
-        evalkit.done_task_ids(dataset.tasks, loop_config, out_path)
+    pending = {out_path: evalkit.pending_tasks(dataset.tasks, loop_config, out_path)
+               for out_path, (loop_config, _, _) in runs.items()}
     summaries = []
     for out_path, (loop_config, actor_factory, critic_factory) in runs.items():
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         summary = evalkit.run_tasks(
-            dataset.tasks, dataset.schemas, actor_factory, critic_factory, loop_config,
+            pending[out_path], dataset.schemas, actor_factory, critic_factory, loop_config,
             out_path, concurrency=config.concurrency,
         )
         for task_id, reason in summary.failed:
             print(f"  [{loop_config.critic_mode}] {task_id}: {reason}", file=sys.stderr)
         summaries.append(summary)
-    return summaries
+    return len(dataset.tasks), summaries
 
 
 def _exit_status(summaries: list[evalkit.RunSummary]) -> int:
@@ -277,10 +278,11 @@ def _cmd_eval(args) -> int:
         config = _load_run_config(args)
         if not config.out:
             raise UsageError("missing required setting: out")
-        summaries = _run_modes(config, {config.out: config.mode})
+        n_tasks, summaries = _run_modes(config, {config.out: config.mode})
         summary = summaries[0]
+        resumed = n_tasks - summary.written - len(summary.failed)
         print(
-            f"traces written: {summary.written}, resumed: {summary.resumed}, "
+            f"traces written: {summary.written}, resumed: {resumed}, "
             f"failed: {len(summary.failed)}"
         )
         return _exit_status(summaries)
@@ -293,7 +295,7 @@ def _cmd_eval(args) -> int:
         if len(set(modes)) < len(modes):
             raise UsageError(f"--modes names a mode more than once: {args.modes}")
         logs = {evalkit.ablation_log(args.out_dir, mode): mode for mode in modes}
-        summaries = _run_modes(config, logs)
+        _, summaries = _run_modes(config, logs)
         name = Path(config.tasks).stem
         reports = evalkit.with_baseline([
             replace(evalkit.evaluate_run(read_traces(path), config.db_dir, dataset_name=name),
@@ -306,6 +308,8 @@ def _cmd_eval(args) -> int:
 
     # report and estimate-pqs
     timeout = _exec_timeout(args.exec_timeout)
+    if args.eval_cmd == "report" and args.baseline_ex is not None:
+        theory.check_prob(args.baseline_ex, "baseline-ex")
     traces = read_traces(args.traces, strict=args.strict)
     if args.eval_cmd == "report":
         report = evalkit.evaluate_run(

@@ -235,16 +235,18 @@ def write_trace(trace: ACTrace, out: IO[str]) -> None:
 def read_traces(path: str | Path, strict: bool = False) -> list[ACTrace]:
     """Read a JSON Lines trace log.
 
-    Malformed lines raise TraceFormatError with their line number when
-    strict, otherwise emit a TraceWarning and are skipped. A config that
-    differs from the first record's raises TraceFormatError either way.
+    Malformed lines, a line that is not UTF-8 among them, raise
+    TraceFormatError with their line number when strict, otherwise emit
+    a TraceWarning and are skipped. A config that differs from the first
+    record's raises TraceFormatError either way.
     """
     traces: list[ACTrace] = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 trace = trace_from_dict(json.loads(line))
             except (ValueError, TraceFormatError) as exc:
                 if strict:

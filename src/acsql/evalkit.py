@@ -16,8 +16,9 @@ log that holds a task_id twice is refused with TraceFormatError rather
 than scored twice.
 execution_accuracy scores one pair with the same comparison code.
 
-run_tasks writes one resumable trace log; an ablation scores one log per
-mode (ablation_log) and with_baseline makes the "none" row's EX the baseline.
+pending_tasks is the resume check of a trace log; run_tasks appends one
+trace per task it is handed. An ablation scores one log per mode
+(ablation_log) and with_baseline makes the "none" row's EX the baseline.
 """
 
 import itertools
@@ -387,14 +388,13 @@ CriticFactory = Callable[[SpiderTask], Critic | None]
 @dataclass
 class RunSummary:
     written: int = 0
-    resumed: int = 0
     failed: list[tuple[str, str]] = field(default_factory=list)
 
 
-def done_task_ids(
+def pending_tasks(
     tasks: Sequence[SpiderTask], config: ACConfig, out_path: str | Path
-) -> set[str]:
-    """Ids of the tasks already traced in out_path, checked for a resume.
+) -> list[SpiderTask]:
+    """The resume check: the tasks not yet traced in out_path, in input order.
 
     A last line cut short by a crash is dropped first, so its task runs
     again and the next trace starts on a fresh line. A trace in out_path
@@ -403,7 +403,7 @@ def done_task_ids(
     """
     out_path = Path(out_path)
     if not out_path.exists():
-        return set()
+        return list(tasks)
     _drop_partial_last_line(out_path)
     by_id = {task.task_id: task for task in tasks}
     done = set()
@@ -416,7 +416,7 @@ def done_task_ids(
             raise ValueError(f"{out_path} holds task {task_id!r} with another db_id, "
                              "question or gold than the tasks file; start a new log")
         done.add(task_id)
-    return done
+    return [task for task in tasks if task.task_id not in done]
 
 
 def run_tasks(
@@ -428,27 +428,22 @@ def run_tasks(
     out_path: str | Path,
     concurrency: int = 4,
 ) -> RunSummary:
-    """Run the loop over tasks, appending traces as JSON Lines.
+    """Run the loop over every task, appending one trace per task as JSON Lines.
 
-    Tasks whose task_id already appears in out_path are skipped so an
-    interrupted run can be re-issued with the same command; done_task_ids
-    checks the log first and raises ValueError before any task runs when
-    it belongs to another run. Actor or database failures are recorded
-    per task and do not abort the batch.
+    To resume, pass the tasks pending_tasks returns for out_path. Actor or
+    database failures are recorded per task and do not abort the batch;
+    any other error stops it and cancels the tasks not yet started.
     """
     summary = RunSummary()
-    done = done_task_ids(tasks, config, out_path)
-    pending = [t for t in tasks if t.task_id not in done]
-    summary.resumed = len(tasks) - len(pending)
 
     def run_one(task: SpiderTask) -> ACTrace:
         ddl = schema_to_ddl(schemas, task.db_id)
-        critic = None if config.critic_mode == "none" else critic_factory(task)
-        return run_ac_loop(actor_factory(task), critic, task, config, ddl)
+        return run_ac_loop(actor_factory(task), critic_factory(task), task, config, ddl)
 
     with open(out_path, "a", encoding="utf-8") as out:
-        with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-            futures = {pool.submit(run_one, task): task for task in pending}
+        pool = ThreadPoolExecutor(max_workers=max(1, concurrency))
+        try:
+            futures = {pool.submit(run_one, task): task for task in tasks}
             for future in as_completed(futures):
                 task = futures[future]
                 try:
@@ -459,6 +454,8 @@ def run_tasks(
                 write_trace(trace, out)
                 out.flush()
                 summary.written += 1
+        finally:
+            pool.shutdown(cancel_futures=True)
     return summary
 
 

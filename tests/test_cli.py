@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from acsql import evalkit
 from acsql.agents import CORRECT_SQL, CRITIC_MODES, CompositeCritic
 from acsql.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, RunConfig, _build_factories, build_parser, main
 from acsql.engine import ACConfig, ACTrace, IterationRecord, TraceWarning, read_traces
@@ -62,16 +63,21 @@ class TestTheoryCommands:
         assert lines[0] == "q,s,prob"
         assert len(lines) == 10202
 
-    def test_out_of_range_probability_rejected(self, capsys):
-        for argv in (
-            ["theory", "prob", "--p", "1.5", "--q", "0", "--s", "0", "--z", "2"],
-            ["theory", "limit", "--p", "1.5", "--q", "0", "--s", "0"],
-            ["theory", "contour", "--p", "1.5", "--z", "2", "--resolution", "3"],
-            ["simulate", "--p", "1.5", "--q", "0", "--s", "0", "--z", "2", "--trials", "10"],
+    def test_out_of_range_probability_rejected(self, capsys, tmp_path):
+        # the trace log does not exist: a baseline is refused before the log is read
+        report = ["eval", "report", "--traces", str(tmp_path / "none.jsonl"),
+                  "--db-dir", str(tmp_path)]
+        for argv, name in (
+            (["theory", "prob", "--p", "1.5", "--q", "0", "--s", "0", "--z", "2"], "p"),
+            (["theory", "limit", "--p", "1.5", "--q", "0", "--s", "0"], "p"),
+            (["theory", "contour", "--p", "1.5", "--z", "2", "--resolution", "3"], "p"),
+            (["simulate", "--p", "1.5", "--q", "0", "--s", "0", "--z", "2", "--trials", "10"], "p"),
+            *(([*report, "--baseline-ex", value], "baseline-ex") for value in ("2", "-1", "nan")),
+            ([*report, "--json", "--baseline-ex", "nan"], "baseline-ex"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == EXIT_USAGE, argv
-            assert "error: p must be" in err and out == "", argv
+            assert f"error: {name} must be" in err and out == "", argv
 
 
 class TestSimulateCommand:
@@ -386,6 +392,37 @@ class TestEvalCommands:
         assert "holds task 't0000" in err
         assert "run with ACConfig(max_iterations=3, critic_mode='llm_only'), not" in err
         assert Path(out_path).read_bytes() == logged
+
+    def test_resume_reads_each_log_once_before_the_first_task(
+        self, capsys, micro_dataset, monkeypatch
+    ):
+        config_path, out_path = _bernoulli_config(micro_dataset, "once.jsonl", p=0.5)
+        out_dir = micro_dataset["root"] / "ablation"
+        run = ["eval", "run", "--config", str(config_path), "--mode", "both", "--seed", "3"]
+        ablation = ["eval", "ablation", "--config", str(config_path), "--seed", "3",
+                    "--modes", "none,both", "--out-dir", str(out_dir)]
+        logs = {"run": [Path(out_path)],
+                "ablation": [out_dir / "traces_none.jsonl", out_dir / "traces_both.jsonl"]}
+        for argv in (run, ablation):
+            assert run_cli(capsys, *argv)[0] == EXIT_OK
+        events = []
+        read_traces, run_tasks = evalkit.read_traces, evalkit.run_tasks
+
+        def read_spy(path, *args, **kwargs):
+            events.append(("read", Path(path)))
+            return read_traces(path, *args, **kwargs)
+
+        def run_spy(tasks, *args, **kwargs):
+            events.append(("run", len(tasks)))
+            return run_tasks(tasks, *args, **kwargs)
+
+        monkeypatch.setattr(evalkit, "read_traces", read_spy)
+        monkeypatch.setattr(evalkit, "run_tasks", run_spy)
+        for argv, command in ((run, "run"), (ablation, "ablation")):
+            events.clear()
+            assert run_cli(capsys, *argv)[0] == EXIT_OK, command
+            reads = [("read", path) for path in logs[command]]
+            assert events == reads + [("run", 0)] * len(reads), command
 
     def test_ablation_checks_every_log_before_the_first_mode(self, capsys, micro_dataset):
         config_path, _ = _bernoulli_config(micro_dataset, "unused.jsonl", p=0.4)

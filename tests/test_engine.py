@@ -166,6 +166,14 @@ def _sample_trace(task_id="t00042"):
     )
 
 
+# a line that opens with a UTF-16 byte-order mark
+NOT_UTF8 = b'\xff\xfe{"task_id": "x"}'
+
+
+def _line_bytes(line: str | bytes) -> bytes:
+    return (line if isinstance(line, bytes) else line.encode("utf-8")) + b"\n"
+
+
 def _unscorable_lines():
     """Well-formed JSON records that scoring could not use."""
     no_iterations = trace_to_dict(_sample_trace("t00009"))
@@ -237,10 +245,10 @@ class TestTracePersistence:
 
     def test_corrupt_line_skipped_with_warning(self, tmp_path):
         path = tmp_path / "traces.jsonl"
-        for bad_line in ["{broken json", *_unscorable_lines()]:
+        for bad_line in ["{broken json", *_unscorable_lines(), NOT_UTF8]:
             write_traces([_sample_trace("t00001")], path)
-            with open(path, "a") as f:
-                f.write(bad_line + "\n")
+            with open(path, "ab") as f:
+                f.write(_line_bytes(bad_line))
             write_traces([_sample_trace("t00002")], path, append=True)
 
             with pytest.warns(TraceWarning) as warned:
@@ -251,8 +259,8 @@ class TestTracePersistence:
 
     def test_corrupt_line_strict_aborts(self, tmp_path):
         path = tmp_path / "traces.jsonl"
-        for bad_line in ['{"task_id": "x"}', *_unscorable_lines()]:
-            path.write_text(bad_line + "\n")
+        for bad_line in ['{"task_id": "x"}', *_unscorable_lines(), NOT_UTF8]:
+            path.write_bytes(_line_bytes(bad_line))
             with pytest.raises(TraceFormatError) as err:
                 read_traces(path, strict=True)
             assert ":1:" in str(err.value), bad_line

@@ -1,9 +1,11 @@
 """Tests for execution-accuracy scoring, reports, estimation, and batch runs."""
 
+import errno
 import itertools
 import random
 import shutil
 import sqlite3
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -40,6 +42,7 @@ from acsql.evalkit import (
     format_reports,
     ablation_log,
     has_top_level_order_by,
+    pending_tasks,
     run_tasks,
     with_baseline,
 )
@@ -584,6 +587,13 @@ _SCRIPTS = {
 }
 
 
+def _resume(tasks, schemas, actor_factory, config, out, **kwargs):
+    """Run the tasks not yet traced in out as `eval run` does; return (summary, resumed)."""
+    pending = pending_tasks(tasks, config, out)
+    summary = run_tasks(pending, schemas, actor_factory, lambda t: None, config, out, **kwargs)
+    return summary, len(tasks) - len(pending)
+
+
 class TestRunTasks:
     def test_resumable(self, spider_layout, tmp_path):
         schemas = _parsed_schemas()
@@ -596,10 +606,10 @@ class TestRunTasks:
             return ScriptedActor([CORRECT])
 
         config = ACConfig(max_iterations=3, critic_mode="none")
-        first = run_tasks(tasks[:2], schemas, actor_factory, lambda t: None, config, out)
-        assert first.written == 2 and first.resumed == 0
-        second = run_tasks(tasks, schemas, actor_factory, lambda t: None, config, out)
-        assert second.written == 1 and second.resumed == 2
+        first, resumed = _resume(tasks[:2], schemas, actor_factory, config, out)
+        assert first.written == 2 and resumed == 0
+        second, resumed = _resume(tasks, schemas, actor_factory, config, out)
+        assert second.written == 1 and resumed == 2
         assert sorted(calls) == ["t00000", "t00001", "t00002"]
         ids = [t.task.task_id for t in read_traces(out)]
         assert sorted(ids) == ["t00000", "t00001", "t00002"]
@@ -615,7 +625,7 @@ class TestRunTasks:
             calls.append(task.task_id)
             return ScriptedActor([CORRECT])
 
-        run_tasks(tasks[:2], schemas, actor_factory, lambda t: None, config, out)
+        _resume(tasks[:2], schemas, actor_factory, config, out)
         logged = out.read_bytes()
         reworded = [tasks[0], replace(tasks[1], question="task B, reworded?"), tasks[2]]
         for other_tasks, other_config, match in [
@@ -625,7 +635,7 @@ class TestRunTasks:
         ]:
             calls.clear()
             with pytest.raises(ValueError, match=match):
-                run_tasks(other_tasks, schemas, actor_factory, lambda t: None, other_config, out)
+                _resume(other_tasks, schemas, actor_factory, other_config, out)
             assert calls == [] and out.read_bytes() == logged
 
     def test_resume_after_crash_mid_line(self, spider_layout, tmp_path):
@@ -637,17 +647,45 @@ class TestRunTasks:
         def actor_factory(task):
             return ScriptedActor([CORRECT])
 
-        run_tasks(tasks[:2], schemas, actor_factory, lambda t: None, config, out, concurrency=1)
+        _resume(tasks[:2], schemas, actor_factory, config, out, concurrency=1)
         # a crash while writing the second trace leaves half a line behind
         text = out.read_text(encoding="utf-8")
         out.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1], encoding="utf-8")
 
-        summary = run_tasks(tasks, schemas, actor_factory, lambda t: None, config, out)
-        assert summary.resumed == 1 and summary.written == 3
+        summary, resumed = _resume(tasks, schemas, actor_factory, config, out)
+        assert resumed == 1 and summary.written == 3
         with warnings.catch_warnings():
             warnings.simplefilter("error", TraceWarning)
             ids = sorted(t.task.task_id for t in read_traces(out))
         assert ids == ["t00000", "t00001", "t00002", "t00003"]
+
+    @pytest.mark.parametrize(
+        "error", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+        ids=["disk_full", "interrupt"],
+    )
+    def test_error_while_writing_cancels_the_queued_tasks(
+        self, spider_layout, tmp_path, monkeypatch, error
+    ):
+        tasks = [SpiderTask(f"t{i:05d}", "battle_death", f"task {i}?", GOLD) for i in range(100)]
+        calls = []
+
+        class SlowActor:
+            def respond(self, messages):
+                calls.append(1)
+                time.sleep(0.02)
+                return CORRECT
+
+        def write_trace(trace, out):
+            raise error
+
+        monkeypatch.setattr(evalkit, "write_trace", write_trace)
+        with pytest.raises(type(error)):
+            run_tasks(
+                tasks, _parsed_schemas(), lambda task: SlowActor(), lambda task: None,
+                ACConfig(critic_mode="none"), tmp_path / "traces.jsonl", concurrency=2,
+            )
+        # the two tasks running when the write failed may finish, and no queued one starts
+        assert len(calls) <= 4
 
     def test_actor_failures_recorded_not_fatal(self, spider_layout, tmp_path):
         schemas = _parsed_schemas()
