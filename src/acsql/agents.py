@@ -7,6 +7,12 @@ so they transfer across models, and their builders never raise: a blank
 candidate is just a wrong draft. The execution critic accepts any
 candidate that runs a query to completion on a read-only connection,
 which makes it a syntax (not semantics) check; the LLM critic covers the rest.
+
+A critic component is a callable (candidate_sql, schema_ddl, question)
+-> Verdict: LLMJudge.judge is one, and the CLI wraps execution_critic
+in another. The CLI hands CompositeCritic a mode's components in
+CRITIC_MODES order; it runs them in that order and stops at the first
+reject.
 """
 
 import logging
@@ -15,7 +21,7 @@ import re
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Callable, Protocol, Sequence
 
 from .llm_client import ChatMessage, EndpointConfig, TransportError, complete
 from .sqlexec import QueryFailure, open_readonly, run_query
@@ -58,6 +64,10 @@ class Critic(Protocol):
     def review(
         self, candidate_sql: str, *, schema_ddl: str, question: str
     ) -> list[Verdict]: ...
+
+
+# One check of a composite critic: (candidate_sql, schema_ddl, question) -> Verdict.
+CriticComponent = Callable[[str, str, str], Verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +166,7 @@ class LLMJudge:
     def __init__(self, endpoint: EndpointConfig):
         self.endpoint = endpoint
 
-    def judge(self, schema_ddl: str, question: str, candidate_sql: str) -> Verdict:
+    def judge(self, candidate_sql: str, schema_ddl: str, question: str) -> Verdict:
         try:
             reply = complete(self.endpoint, build_critic_prompt(schema_ddl, question, candidate_sql))
         except TransportError as exc:
@@ -177,41 +187,22 @@ CRITIC_MODES: dict[str, tuple[str, ...]] = {
 
 
 class CompositeCritic:
-    """Runs one mode's critic components in table order for one task.
+    """Runs critic components in order for one task; a reject short-circuits.
 
-    A reject short-circuits, so with mode "both" the LLM is not consulted
-    on SQL that failed to execute; overall acceptance means every
-    returned verdict accepted.
+    Each component is called as component(candidate_sql, schema_ddl,
+    question) and returns one Verdict. After a reject no later component
+    runs, so in mode "both" the LLM is not consulted on SQL that failed
+    to execute; overall acceptance means every returned verdict accepted.
     """
 
-    def __init__(
-        self,
-        mode: str,
-        database: str | Path | None = None,
-        llm_judge: LLMJudge | None = None,
-        timeout: float = 5.0,
-    ):
-        components = CRITIC_MODES.get(mode)
-        if not components:
-            raise ValueError(f"no critic runs in mode {mode!r}")
-        if "execution" in components and database is None:
-            raise ValueError(f"{mode} mode requires a database")
-        if "llm" in components and llm_judge is None:
-            raise ValueError(f"{mode} mode requires an LLM judge")
-        self.components = components
-        self.database = database
-        self.llm_judge = llm_judge
-        self.timeout = timeout
+    def __init__(self, components: Sequence[CriticComponent]):
+        self.components = tuple(components)
 
     def review(self, candidate_sql: str, *, schema_ddl: str, question: str) -> list[Verdict]:
         verdicts = []
         for component in self.components:
-            if component == "execution":
-                verdict = execution_critic(candidate_sql, self.database, self.timeout)
-            else:
-                verdict = self.llm_judge.judge(schema_ddl, question, candidate_sql)
-            verdicts.append(verdict)
-            if not verdict.accepted:
+            verdicts.append(component(candidate_sql, schema_ddl, question))
+            if not verdicts[-1].accepted:
                 break
         return verdicts
 

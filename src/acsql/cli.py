@@ -32,6 +32,7 @@ from .agents import (
     LLMActor,
     LLMJudge,
     StochasticCritic,
+    execution_critic,
 )
 from .engine import ACConfig, TraceFormatError, read_traces
 from .llm_client import EndpointConfig, TransportError
@@ -125,27 +126,28 @@ def _build_factories(config: RunConfig, mode: str):
         return BernoulliActor(*actor_probs, _stable_rng(config.seed, task.task_id, "actor"))
 
     critic_settings, critic_probs = _agent_settings(config, "critic")
-    components = CRITIC_MODES[mode]
-    llm_judge = None
-    if critic_probs is None and "llm" in components:
+    names = CRITIC_MODES[mode]
+    judge = None
+    if critic_probs is None and "llm" in names:
         judge_settings = critic_settings
         if not critic_settings.get("base_url"):  # the actor's endpoint, the critic's own keys
             judge_settings = {**actor_settings, **critic_settings}
         if not judge_settings.get("base_url"):
             raise UsageError(f"mode {mode!r} requires an LLM critic endpoint")
-        llm_judge = LLMJudge(_endpoint_from(judge_settings, default_temperature=0.0))
+        judge = LLMJudge(_endpoint_from(judge_settings, default_temperature=0.0)).judge
 
     def critic_factory(task):
-        if not components:
+        if not names:
             return None
         if critic_probs is not None:
             return StochasticCritic(*critic_probs, _stable_rng(config.seed, task.task_id, "critic"))
-        database = None
-        if "execution" in components:
-            database = database_path(config.db_dir, task.db_id)
-        return CompositeCritic(
-            mode, database=database, llm_judge=llm_judge, timeout=config.exec_timeout
-        )
+        database = database_path(config.db_dir, task.db_id)
+
+        def execution(candidate_sql, schema_ddl, question):
+            return execution_critic(candidate_sql, database, config.exec_timeout)
+
+        components = {"execution": execution, "llm": judge}
+        return CompositeCritic(tuple(components[name] for name in names))
 
     return loop_config, actor_factory, critic_factory
 

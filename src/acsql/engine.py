@@ -10,14 +10,15 @@ most z generations and at most z-1 critic consultations.
 Traces serialize to JSON Lines, one task per line, with stable field
 names so downstream scoring and parameter estimation can replay them.
 A trace stores only what it cannot derive; the reader checks each
-field's JSON type and refuses a log whose records differ in config.
+field's JSON type and refuses a log whose records differ in config or
+that holds a task_id twice.
 """
 
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterable
 
 from .agents import (
     CRITIC_MODES,
@@ -102,7 +103,7 @@ def run_ac_loop(
     With critic_mode "none" exactly one generation runs and is emitted
     unreviewed (the bare-actor baseline). Actor exceptions become
     ActorError; critic transport problems are the critic's own concern
-    (the composite critic converts them to reject verdicts).
+    (LLMJudge turns them into reject verdicts).
     """
     budget = config.budget
     messages = build_actor_prompt(schema_ddl, task.question)
@@ -145,7 +146,10 @@ def trace_to_dict(trace: ACTrace) -> dict:
         "db_id": trace.task.db_id,
         "question": trace.task.question,
         "gold_sql": trace.task.gold_sql,
-        "config": asdict(trace.config),
+        "config": {
+            "max_iterations": trace.config.max_iterations,
+            "critic_mode": trace.config.critic_mode,
+        },
         "iterations": [
             {
                 "index": index,
@@ -238,23 +242,34 @@ def read_traces(path: str | Path, strict: bool = False) -> list[ACTrace]:
     Malformed lines, a line that is not UTF-8 among them, raise
     TraceFormatError with their line number when strict, otherwise emit
     a TraceWarning and are skipped. A config that differs from the first
-    record's raises TraceFormatError either way.
+    record's, or a task_id that an earlier record holds, raises
+    TraceFormatError either way.
     """
-    traces: list[ACTrace] = []
     with open(path, "rb") as f:
-        for line_no, raw in enumerate(f, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                trace = trace_from_dict(json.loads(line))
-            except (ValueError, TraceFormatError) as exc:
-                if strict:
-                    raise TraceFormatError(f"{path}:{line_no}: {exc}") from exc
-                warnings.warn(f"{path}:{line_no}: skipping bad trace line: {exc}", TraceWarning)
+        return read_trace_lines(f, path, strict)
+
+
+def read_trace_lines(lines: Iterable[bytes], path: str | Path, strict: bool = False) -> list[ACTrace]:
+    """Parse lines read from path as read_traces does; errors name path and the line's position."""
+    traces: list[ACTrace] = []
+    seen: set[str] = set()
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+            if not line.strip():
                 continue
-            if traces and trace.config != traces[0].config:
-                raise TraceFormatError(f"{path}:{line_no}: {trace.config} differs from the first "
-                                       f"record's {traces[0].config}; a log holds one config")
-            traces.append(trace)
+            trace = trace_from_dict(json.loads(line))
+        except (ValueError, TraceFormatError) as exc:
+            if strict:
+                raise TraceFormatError(f"{path}:{line_no}: {exc}") from exc
+            warnings.warn(f"{path}:{line_no}: skipping bad trace line: {exc}", TraceWarning)
+            continue
+        if traces and trace.config != traces[0].config:
+            raise TraceFormatError(f"{path}:{line_no}: {trace.config} differs from the first "
+                                   f"record's {traces[0].config}; a log holds one config")
+        if trace.task.task_id in seen:
+            raise TraceFormatError(f"{path}:{line_no}: task_id {trace.task.task_id!r} appears "
+                                   "twice; a log holds one trace per task")
+        seen.add(trace.task.task_id)
+        traces.append(trace)
     return traces

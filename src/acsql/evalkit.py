@@ -12,8 +12,8 @@ database is scored inside one block that holds its read-only connection,
 the result of each gold (None when the gold fails) and the verdict of
 each (gold, sql) pair. The block closes its connection when it ends or
 raises, so at most one is open and nothing outlives the call. A trace
-log that holds a task_id twice is refused with TraceFormatError rather
-than scored twice.
+log that holds a task_id twice is refused when it is read
+(engine.read_traces), so no task is scored twice.
 execution_accuracy scores one pair with the same comparison code.
 
 pending_tasks is the resume check of a trace log; run_tasks appends one
@@ -22,6 +22,7 @@ trace per task it is handed. An ablation scores one log per mode
 """
 
 import itertools
+import os
 import re
 import sqlite3
 from contextlib import closing
@@ -31,9 +32,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .agents import Actor, Critic
-from .engine import (
-    ACConfig, ACTrace, ActorError, TraceFormatError, read_traces, run_ac_loop, write_trace
-)
+from .engine import ACConfig, ACTrace, ActorError, read_trace_lines, run_ac_loop, write_trace
 from .spider_data import SpiderTask, SchemaIndex, database_path, schema_to_ddl
 from .sqlexec import DatabaseUnavailable, QueryFailure, open_readonly, run_query
 
@@ -234,16 +233,9 @@ def _scored_traces(
     """Yield (trace, verdict per candidate SQL), one database at a time.
 
     The verdicts are None for a task that cannot be scored: it has no
-    gold, its gold fails, or its database is missing. A task_id seen
-    twice raises TraceFormatError before anything is scored.
+    gold, its gold fails, or its database is missing.
     """
     ordered = sorted(traces, key=lambda trace: trace.task.db_id)
-    seen: set[str] = set()
-    for trace in ordered:
-        if trace.task.task_id in seen:
-            raise TraceFormatError(f"task_id {trace.task.task_id!r} appears twice in the trace log")
-        seen.add(trace.task.task_id)
-
     for db_id, group in itertools.groupby(ordered, key=lambda trace: trace.task.db_id):
         try:
             conn = open_readonly(database_path(db_dir, db_id))
@@ -285,7 +277,7 @@ def evaluate_run(
 
     Tasks without gold SQL or whose gold fails to execute are excluded
     from the denominator and counted in n_excluded; with no task scored,
-    EX is None. A task_id seen twice raises TraceFormatError.
+    EX is None.
     """
     results = list(_scored_traces(traces, db_dir, timeout, lambda trace: [trace.final_sql]))
     modes = {trace.config.critic_mode for trace, _ in results}
@@ -341,8 +333,7 @@ def estimate_pqs(
     p from first-iteration generations; q and s pooled over every
     critic-checked generation, scoring each generation by execution
     accuracy and reading the iteration's overall verdict. Estimates with
-    empty denominators are reported as None, never as zero. A task_id
-    seen twice raises TraceFormatError.
+    empty denominators are reported as None, never as zero.
     """
     counts = PQSCounts()
     excluded = 0
@@ -396,18 +387,21 @@ def pending_tasks(
 ) -> list[SpiderTask]:
     """The resume check: the tasks not yet traced in out_path, in input order.
 
-    A last line cut short by a crash is dropped first, so its task runs
-    again and the next trace starts on a fresh line. A trace in out_path
-    with another config, or with another task under one of these task
-    ids, raises ValueError. A missing out_path has no traces.
+    A trace in out_path with another config, or with another task under
+    one of these task ids, raises ValueError, and a log read_traces
+    refuses raises TraceFormatError; either way out_path is not written.
+    A last line that a crash cut short (it lacks its newline) is not
+    read: once the checks pass it is cut off, so its task runs again and
+    the next trace starts on a fresh line. A missing out_path has no traces.
     """
     out_path = Path(out_path)
     if not out_path.exists():
         return list(tasks)
-    _drop_partial_last_line(out_path)
+    with open(out_path, "rb") as f:
+        traces = read_trace_lines((line for line in f if line.endswith(b"\n")), out_path)
     by_id = {task.task_id: task for task in tasks}
     done = set()
-    for trace in read_traces(out_path):
+    for trace in traces:
         task_id = trace.task.task_id
         if trace.config != config:
             raise ValueError(f"{out_path} holds task {task_id!r} run with {trace.config}, "
@@ -416,6 +410,7 @@ def pending_tasks(
             raise ValueError(f"{out_path} holds task {task_id!r} with another db_id, "
                              "question or gold than the tasks file; start a new log")
         done.add(task_id)
+    _drop_partial_last_line(out_path)
     return [task for task in tasks if task.task_id not in done]
 
 
@@ -460,8 +455,19 @@ def run_tasks(
 
 
 def _drop_partial_last_line(path: Path) -> None:
+    """Cut what follows the last newline; a log that ends in one is not written."""
     with open(path, "rb+") as f:
-        f.truncate(f.read().rfind(b"\n") + 1)
+        size = end = f.seek(0, os.SEEK_END)
+        while end > 0:  # read back from the end, one block at a time
+            start = max(0, end - 4096)
+            f.seek(start)
+            newline = f.read(end - start).rfind(b"\n")
+            if newline >= 0:
+                end = start + newline + 1
+                break
+            end = start
+        if end < size:
+            f.truncate(end)
 
 
 def ablation_log(out_dir: str | Path, mode: str) -> Path:

@@ -306,15 +306,20 @@ class _FixedJudge:
         self.decisions = list(decisions)
         self.calls = []
 
-    def judge(self, schema_ddl, question, candidate_sql):
+    def judge(self, candidate_sql, schema_ddl, question):
         self.calls.append(candidate_sql)
         return Verdict(accepted=self.decisions.pop(0), source="llm", detail="scripted")
+
+
+def _execution(database):
+    """The execution critic as a component, as the CLI builds it."""
+    return lambda candidate_sql, schema_ddl, question: execution_critic(candidate_sql, database)
 
 
 class TestCompositeCritic:
     def test_execution_reject_short_circuits(self, battle_db, battle_ddl):
         judge = _FixedJudge([True])
-        verdicts = CompositeCritic("both", database=battle_db, llm_judge=judge).review(
+        verdicts = CompositeCritic((_execution(battle_db), judge.judge)).review(
             "SELECT nope FROM death", schema_ddl=battle_ddl, question="q?"
         )
         assert len(verdicts) == 1
@@ -323,7 +328,7 @@ class TestCompositeCritic:
 
     def test_conjunction(self, battle_db, battle_ddl):
         judge = _FixedJudge([False])
-        verdicts = CompositeCritic("both", database=battle_db, llm_judge=judge).review(
+        verdicts = CompositeCritic((_execution(battle_db), judge.judge)).review(
             "SELECT killed FROM death", schema_ddl=battle_ddl, question="q?"
         )
         assert [v.source for v in verdicts] == ["execution", "llm"]
@@ -331,33 +336,28 @@ class TestCompositeCritic:
 
     def test_both_accept(self, battle_db, battle_ddl):
         judge = _FixedJudge([True])
-        verdicts = CompositeCritic("both", database=battle_db, llm_judge=judge).review(
+        verdicts = CompositeCritic((_execution(battle_db), judge.judge)).review(
             "SELECT killed FROM death", schema_ddl=battle_ddl, question="q?"
         )
         assert all(v.accepted for v in verdicts) and len(verdicts) == 2
 
     def test_single_critic_modes(self, battle_db, battle_ddl):
-        only_exec = CompositeCritic("execution_only", database=battle_db).review(
+        only_exec = CompositeCritic((_execution(battle_db),)).review(
             "SELECT killed FROM death", schema_ddl=battle_ddl, question="q?"
         )
         assert [v.source for v in only_exec] == ["execution"]
-        only_llm = CompositeCritic("llm_only", llm_judge=_FixedJudge([True])).review(
+        only_llm = CompositeCritic((_FixedJudge([True]).judge,)).review(
             "SELECT anything", schema_ddl=battle_ddl, question="q?"
         )
         assert [v.source for v in only_llm] == ["llm"]
 
     def test_accept_implies_execution_accept(self, battle_db, battle_ddl):
-        critic = CompositeCritic("both", database=battle_db, llm_judge=_FixedJudge([True] * 50))
+        judge = _FixedJudge([True] * 50)
+        critic = CompositeCritic((_execution(battle_db), judge.judge))
         for sql in ("SELECT killed FROM death", "SELECT bogus FROM death", "junk"):
             verdicts = critic.review(sql, schema_ddl=battle_ddl, question="q?")
             if all(v.accepted for v in verdicts):
                 assert verdicts[0].source == "execution" and verdicts[0].accepted
-
-    def test_missing_components_rejected(self):
-        with pytest.raises(ValueError):
-            CompositeCritic("both")
-        with pytest.raises(ValueError):
-            CompositeCritic("none")
 
 
 class TestDoubles:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from acsql import evalkit
-from acsql.agents import CORRECT_SQL, CRITIC_MODES, CompositeCritic
+from acsql.agents import CORRECT_SQL, CRITIC_MODES, CompositeCritic, build_critic_prompt
 from acsql.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, RunConfig, _build_factories, build_parser, main
 from acsql.engine import ACConfig, ACTrace, IterationRecord, TraceWarning, read_traces
 from acsql.spider_data import SpiderTask, database_path
@@ -164,6 +164,9 @@ _BAD_SETTINGS = {
     "seed-bool": ({"seed": True}, "both"),
     "seed-quoted": ({"seed": "abc"}, "both"),
     "seed-fraction": ({"seed": 3.5}, "none"),
+    # a bernoulli actor lends the LLM critic no endpoint
+    "llm-critic-without-endpoint": ({"critic": {"kind": "llm"}}, "llm_only"),
+    "llm-critic-without-endpoint-both": ({"critic": {"kind": "llm"}}, "both"),
 }
 
 
@@ -277,6 +280,23 @@ class TestEvalCommands:
             )
             assert code == EXIT_IO, command
             assert task_id in err and out == "", command
+
+    def test_repeated_task_id_stops_ablation_before_any_mode(self, capsys, micro_dataset):
+        config_path, _ = _bernoulli_config(micro_dataset, "unused.jsonl")
+        out_dir = micro_dataset["root"] / "ablation"
+        argv = ["eval", "ablation", "--config", str(config_path), "--seed", "3",
+                "--out-dir", str(out_dir)]
+        assert run_cli(capsys, *argv, "--modes", "both")[0] == EXIT_OK
+        log = out_dir / "traces_both.jsonl"
+        first, _, *rest = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        log.write_text(first + "".join(rest) + first, encoding="utf-8")  # one task pending
+        logged = log.read_bytes()
+        code, out, err = run_cli(capsys, *argv, "--modes", "none,both")
+        # no mode ran: no actor wrote the "none" log or the pending task's trace
+        assert not (out_dir / "traces_none.jsonl").exists()
+        assert log.read_bytes() == logged
+        assert (code, out) == (EXIT_IO, "")
+        assert f"{log}:4: task_id {json.loads(first)['task_id']!r} appears twice" in err
 
     def test_unreachable_endpoint_exits_transport(self, capsys, micro_dataset):
         config = {
@@ -406,17 +426,17 @@ class TestEvalCommands:
         for argv in (run, ablation):
             assert run_cli(capsys, *argv)[0] == EXIT_OK
         events = []
-        read_traces, run_tasks = evalkit.read_traces, evalkit.run_tasks
+        read_trace_lines, run_tasks = evalkit.read_trace_lines, evalkit.run_tasks
 
-        def read_spy(path, *args, **kwargs):
+        def read_spy(lines, path, *args, **kwargs):
             events.append(("read", Path(path)))
-            return read_traces(path, *args, **kwargs)
+            return read_trace_lines(lines, path, *args, **kwargs)
 
         def run_spy(tasks, *args, **kwargs):
             events.append(("run", len(tasks)))
             return run_tasks(tasks, *args, **kwargs)
 
-        monkeypatch.setattr(evalkit, "read_traces", read_spy)
+        monkeypatch.setattr(evalkit, "read_trace_lines", read_spy)
         monkeypatch.setattr(evalkit, "run_tasks", run_spy)
         for argv, command in ((run, "run"), (ablation, "ablation")):
             events.clear()
@@ -630,16 +650,23 @@ def test_critic_mode_table_drives_cli(capsys, micro_dataset, mode):
     assert code == EXIT_OK
     assert [r["mode"] for r in json.loads(out[out.index("\n[") + 1:])] == [mode]
 
-    config = RunConfig(
-        db_dir=micro_dataset["db_dir"], actor={"base_url": "http://127.0.0.1:9/v1"}
-    )
-    _, _, critic_factory = _build_factories(config, mode)
-    critic = critic_factory(SpiderTask("t00000", "battle_death", "q?", CORRECT_SQL))
-    components = CRITIC_MODES[mode]
-    if not components:
-        assert critic is None
-        return
+    server = StubLLMServer(lambda body: "True").start()
+    try:
+        config = RunConfig(db_dir=micro_dataset["db_dir"], actor={"base_url": server.base_url})
+        _, _, critic_factory = _build_factories(config, mode)
+        critic = critic_factory(SpiderTask("t00000", "battle_death", "q?", CORRECT_SQL))
+        if not CRITIC_MODES[mode]:
+            assert critic is None
+            return
+        # CORRECT_SQL executes, so every component runs, in table order
+        verdicts = critic.review(CORRECT_SQL, schema_ddl="", question="q?")
+    finally:
+        server.stop()
     assert isinstance(critic, CompositeCritic)
-    assert critic.components == components
-    assert (critic.database is not None) == ("execution" in components)
-    assert (critic.llm_judge is not None) == ("llm" in components)
+    assert [v.source for v in verdicts] == list(CRITIC_MODES[mode])
+    assert all(v.accepted for v in verdicts)
+    # the judge gets the candidate, schema and question in component order
+    prompt = build_critic_prompt("", "q?", CORRECT_SQL)[-1].content
+    assert [r["body"]["messages"][-1]["content"] for r in server.requests] == (
+        [prompt] * CRITIC_MODES[mode].count("llm")
+    )

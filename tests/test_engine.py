@@ -265,6 +265,19 @@ class TestTracePersistence:
                 read_traces(path, strict=True)
             assert ":1:" in str(err.value), bad_line
 
+    def test_repeated_task_id_refused(self, tmp_path):
+        path = tmp_path / "traces.jsonl"
+        write_traces([_sample_trace("t00001"), _sample_trace("t00002"), _sample_trace("t00001")],
+                     path)
+        for strict in (False, True):
+            with pytest.raises(TraceFormatError, match=":3: task_id 't00001' appears twice"):
+                read_traces(path, strict=strict)
+
+    def test_config_bytes_pinned(self, tmp_path):
+        path = tmp_path / "traces.jsonl"
+        write_traces([_sample_trace()], path)
+        assert '"config": {"max_iterations": 3, "critic_mode": "both"}, ' in path.read_text()
+
     def test_readme_example_loads(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme[readme.index("## Trace format"):]

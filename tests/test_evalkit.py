@@ -2,6 +2,7 @@
 
 import errno
 import itertools
+import os
 import random
 import shutil
 import sqlite3
@@ -648,16 +649,45 @@ class TestRunTasks:
             return ScriptedActor([CORRECT])
 
         _resume(tasks[:2], schemas, actor_factory, config, out, concurrency=1)
-        # a crash while writing the second trace leaves half a line behind
-        text = out.read_text(encoding="utf-8")
-        out.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1], encoding="utf-8")
+        first, second = out.read_bytes().splitlines(keepends=True)
+        # what a crash while writing the second trace can leave behind: half a
+        # line, a whole record short of its newline, a tail longer than the
+        # block the resume reads back from the end
+        for tail in (second[: len(second) // 2], second.rstrip(b"\n"), b'{"' + b"x" * 10_000):
+            out.write_bytes(first + tail)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", TraceWarning)
+                summary, resumed = _resume(tasks, schemas, actor_factory, config, out)
+                ids = sorted(t.task.task_id for t in read_traces(out))
+            assert resumed == 1 and summary.written == 3
+            assert ids == ["t00000", "t00001", "t00002", "t00003"]
 
-        summary, resumed = _resume(tasks, schemas, actor_factory, config, out)
-        assert resumed == 1 and summary.written == 3
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", TraceWarning)
-            ids = sorted(t.task.task_id for t in read_traces(out))
-        assert ids == ["t00000", "t00001", "t00002", "t00003"]
+    def test_refused_resume_keeps_the_log(self, spider_layout, tmp_path):
+        tasks = _micro_tasks()
+        out = tmp_path / "traces.jsonl"
+        config = ACConfig(max_iterations=3, critic_mode="none")
+        _resume(tasks, _parsed_schemas(), lambda task: ScriptedActor([CORRECT]), config, out,
+                concurrency=1)
+        out.write_bytes(out.read_bytes()[:-40])  # a crash cut the last trace short
+        os.utime(out, ns=(10**18, 10**18))
+        logged = out.read_bytes()
+        reworded = [tasks[0], replace(tasks[1], question="task B, reworded?"), tasks[2]]
+        for other_tasks, other_config in [
+            (tasks, ACConfig(max_iterations=5, critic_mode="none")),
+            (reworded, config),
+        ]:
+            with pytest.raises(ValueError):
+                pending_tasks(other_tasks, other_config, out)
+            assert out.read_bytes() == logged and out.stat().st_mtime_ns == 10**18
+
+    def test_resume_of_a_complete_log_writes_nothing(self, spider_layout, tmp_path):
+        tasks = _micro_tasks()
+        out = tmp_path / "traces.jsonl"
+        config = ACConfig(max_iterations=3, critic_mode="none")
+        _resume(tasks[:2], _parsed_schemas(), lambda task: ScriptedActor([CORRECT]), config, out)
+        os.utime(out, ns=(10**18, 10**18))
+        assert pending_tasks(tasks, config, out) == tasks[2:]
+        assert out.stat().st_mtime_ns == 10**18
 
     @pytest.mark.parametrize(
         "error", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
@@ -757,9 +787,11 @@ class TestRunAblation:
 
     @staticmethod
     def _execution_critic(db_dir):
-        return lambda task: CompositeCritic(
-            "execution_only", database=database_path(db_dir, task.db_id)
-        )
+        def critic_factory(task):
+            database = database_path(db_dir, task.db_id)
+            return CompositeCritic((lambda sql, ddl, question: execution_critic(sql, database),))
+
+        return critic_factory
 
     def test_mode_dependent_ex(self, spider_layout, tmp_path):
         db_dir = spider_layout["db_dir"]
