@@ -8,11 +8,12 @@ candidate is just a wrong draft. The execution critic accepts any
 candidate that runs a query to completion on a read-only connection,
 which makes it a syntax (not semantics) check; the LLM critic covers the rest.
 
-A critic component is a callable (candidate_sql, schema_ddl, question)
--> Verdict: LLMJudge.judge is one, and the CLI wraps execution_critic
-in another. The CLI hands CompositeCritic a mode's components in
-CRITIC_MODES order; it runs them in that order and stops at the first
-reject.
+A critic is the ordered tuple of its components, each a callable
+(candidate_sql, schema_ddl, question) -> Verdict: LLMJudge.judge and
+StochasticCritic.judge are components, and the CLI wraps
+execution_critic in another. The CLI builds a mode's tuple in
+CRITIC_MODES order; engine.run_ac_loop runs it in that order and stops
+at the first reject.
 """
 
 import logging
@@ -21,7 +22,7 @@ import re
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol
 
 from .llm_client import ChatMessage, EndpointConfig, TransportError, complete
 from .sqlexec import QueryFailure, open_readonly, run_query
@@ -52,7 +53,7 @@ class Verdict:
     """One critic decision with its source and raw evidence."""
 
     accepted: bool
-    source: str  # execution | llm | scripted | stochastic
+    source: str  # the component that decided: execution | llm | scripted | stochastic
     detail: str = ""
 
 
@@ -60,13 +61,7 @@ class Actor(Protocol):
     def respond(self, messages: list[ChatMessage]) -> str: ...
 
 
-class Critic(Protocol):
-    def review(
-        self, candidate_sql: str, *, schema_ddl: str, question: str
-    ) -> list[Verdict]: ...
-
-
-# One check of a composite critic: (candidate_sql, schema_ddl, question) -> Verdict.
+# One check of a critic: (candidate_sql, schema_ddl, question) -> Verdict.
 CriticComponent = Callable[[str, str, str], Verdict]
 
 
@@ -186,27 +181,6 @@ CRITIC_MODES: dict[str, tuple[str, ...]] = {
 }
 
 
-class CompositeCritic:
-    """Runs critic components in order for one task; a reject short-circuits.
-
-    Each component is called as component(candidate_sql, schema_ddl,
-    question) and returns one Verdict. After a reject no later component
-    runs, so in mode "both" the LLM is not consulted on SQL that failed
-    to execute; overall acceptance means every returned verdict accepted.
-    """
-
-    def __init__(self, components: Sequence[CriticComponent]):
-        self.components = tuple(components)
-
-    def review(self, candidate_sql: str, *, schema_ddl: str, question: str) -> list[Verdict]:
-        verdicts = []
-        for component in self.components:
-            verdicts.append(component(candidate_sql, schema_ddl, question))
-            if not verdicts[-1].accepted:
-                break
-        return verdicts
-
-
 # ---------------------------------------------------------------------------
 # Actors
 # ---------------------------------------------------------------------------
@@ -235,7 +209,7 @@ class BernoulliActor:
 
 
 class StochasticCritic:
-    """Coin-flip critic driven by the token's tag.
+    """Coin-flip critic component driven by the token's tag.
 
     Accepts a wrong candidate with probability q (false negative) and
     rejects a correct one with probability s (false positive).
@@ -248,10 +222,10 @@ class StochasticCritic:
         self.s = s
         self.rng = rng
 
-    def review(self, candidate_sql: str, *, schema_ddl: str, question: str) -> list[Verdict]:
+    def judge(self, candidate_sql: str, schema_ddl: str, question: str) -> Verdict:
         draw = self.rng.random()
         if candidate_sql == CORRECT_SQL:
             accepted = draw >= self.s
         else:
             accepted = draw < self.q
-        return [Verdict(accepted=accepted, source="stochastic")]
+        return Verdict(accepted=accepted, source="stochastic")

@@ -28,7 +28,6 @@ from . import evalkit, mc_sim, theory
 from .agents import (
     CRITIC_MODES,
     BernoulliActor,
-    CompositeCritic,
     LLMActor,
     LLMJudge,
     StochasticCritic,
@@ -138,16 +137,17 @@ def _build_factories(config: RunConfig, mode: str):
 
     def critic_factory(task):
         if not names:
-            return None
+            return ()
         if critic_probs is not None:
-            return StochasticCritic(*critic_probs, _stable_rng(config.seed, task.task_id, "critic"))
+            rng = _stable_rng(config.seed, task.task_id, "critic")
+            return (StochasticCritic(*critic_probs, rng).judge,)
         database = database_path(config.db_dir, task.db_id)
 
         def execution(candidate_sql, schema_ddl, question):
             return execution_critic(candidate_sql, database, config.exec_timeout)
 
         components = {"execution": execution, "llm": judge}
-        return CompositeCritic(tuple(components[name] for name in names))
+        return tuple(components[name] for name in names)
 
     return loop_config, actor_factory, critic_factory
 

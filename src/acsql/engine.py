@@ -1,11 +1,12 @@
 """The generate-and-verify iteration loop and its trace log.
 
 One run: the actor answers the schema+question prompt; at every
-iteration except the last the critic reviews the extracted SQL, an
-accept verdict ends the run, a reject appends the previous reply plus a
-regeneration request to the dialogue and tries again. The final
-iteration's SQL is emitted without review, so a budget of z means at
-most z generations and at most z-1 critic consultations.
+iteration except the last the critic's components review the extracted
+SQL in order until one rejects. An iteration every component accepted
+ends the run; a reject appends the previous reply plus a regeneration
+request to the dialogue and tries again. The final iteration's SQL is
+emitted without review, so a budget of z means at most z generations
+and at most z-1 critic consultations.
 
 Traces serialize to JSON Lines, one task per line, with stable field
 names so downstream scoring and parameter estimation can replay them.
@@ -18,12 +19,12 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 from .agents import (
     CRITIC_MODES,
     Actor,
-    Critic,
+    CriticComponent,
     Verdict,
     build_actor_prompt,
     build_regeneration_prompt,
@@ -93,19 +94,25 @@ class ACTrace:
 
 def run_ac_loop(
     actor: Actor,
-    critic: Critic | None,
+    critic: Sequence[CriticComponent],
     task: SpiderTask,
     config: ACConfig,
     schema_ddl: str,
 ) -> ACTrace:
     """Drive one task through the loop and record everything.
 
-    With critic_mode "none" exactly one generation runs and is emitted
-    unreviewed (the bare-actor baseline). Actor exceptions become
-    ActorError; critic transport problems are the critic's own concern
-    (LLMJudge turns them into reject verdicts).
+    After a reject no later critic component runs, so in mode "both" the
+    LLM is not asked about SQL that failed to execute; an iteration
+    records the verdicts that ran. With critic_mode "none" exactly one
+    generation runs and is emitted unreviewed (the bare-actor baseline);
+    another mode with no component is a ValueError before the actor is
+    called. Actor exceptions become ActorError; critic transport
+    problems are the critic's own concern (LLMJudge turns them into
+    reject verdicts).
     """
     budget = config.budget
+    if budget > 1 and not critic:
+        raise ValueError(f"critic required for mode {config.critic_mode!r}")
     messages = build_actor_prompt(schema_ddl, task.question)
     iterations: list[IterationRecord] = []
 
@@ -116,12 +123,13 @@ def run_ac_loop(
             raise ActorError(f"actor failed at iteration {index}: {exc}") from exc
         sql = extract_sql(raw)
 
-        verdicts: tuple[Verdict, ...] = ()
+        verdicts: list[Verdict] = []
         if index < budget:
-            if critic is None:
-                raise ValueError(f"critic required for mode {config.critic_mode!r}")
-            verdicts = tuple(critic.review(sql, schema_ddl=schema_ddl, question=task.question))
-        record = IterationRecord(generated_sql=sql, verdicts=verdicts, actor_raw_output=raw)
+            for component in critic:
+                verdicts.append(component(sql, schema_ddl, task.question))
+                if not verdicts[-1].accepted:
+                    break
+        record = IterationRecord(generated_sql=sql, verdicts=tuple(verdicts), actor_raw_output=raw)
         iterations.append(record)
 
         if record.overall_accepted:

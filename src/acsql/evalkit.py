@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .agents import Actor, Critic
+from .agents import Actor, CriticComponent
 from .engine import ACConfig, ACTrace, ActorError, read_trace_lines, run_ac_loop, write_trace
 from .spider_data import SpiderTask, SchemaIndex, database_path, schema_to_ddl
 from .sqlexec import DatabaseUnavailable, QueryFailure, open_readonly, run_query
@@ -373,7 +373,7 @@ def estimate_pqs(
 # ---------------------------------------------------------------------------
 
 ActorFactory = Callable[[SpiderTask], Actor]
-CriticFactory = Callable[[SpiderTask], Critic | None]
+CriticFactory = Callable[[SpiderTask], Sequence[CriticComponent]]
 
 
 @dataclass
@@ -388,8 +388,10 @@ def pending_tasks(
     """The resume check: the tasks not yet traced in out_path, in input order.
 
     A trace in out_path with another config, or with another task under
-    one of these task ids, raises ValueError, and a log read_traces
-    refuses raises TraceFormatError; either way out_path is not written.
+    one of these task ids, raises ValueError, and a log that
+    read_traces(strict=True) refuses, a bad complete line included,
+    raises TraceFormatError; either way out_path is not written. (A bad
+    line kept would stay in the log for good, beside its task's rerun.)
     A last line that a crash cut short (it lacks its newline) is not
     read: once the checks pass it is cut off, so its task runs again and
     the next trace starts on a fresh line. A missing out_path has no traces.
@@ -398,7 +400,8 @@ def pending_tasks(
     if not out_path.exists():
         return list(tasks)
     with open(out_path, "rb") as f:
-        traces = read_trace_lines((line for line in f if line.endswith(b"\n")), out_path)
+        complete = (line for line in f if line.endswith(b"\n"))
+        traces = read_trace_lines(complete, out_path, strict=True)
     by_id = {task.task_id: task for task in tasks}
     done = set()
     for trace in traces:

@@ -27,17 +27,17 @@ class ScriptedActor:
 
 
 class ScriptedCritic:
-    """Replays fixed accept/reject decisions in order."""
+    """Critic component (its judge method) replaying fixed accept/reject decisions in order."""
 
     def __init__(self, decisions: Sequence[bool]):
         self.decisions = list(decisions)
         self.reviewed: list[str] = []
         self._next = 0
 
-    def review(self, candidate_sql: str, *, schema_ddl: str, question: str) -> list[Verdict]:
+    def judge(self, candidate_sql: str, schema_ddl: str, question: str) -> Verdict:
         self.reviewed.append(candidate_sql)
         if self._next >= len(self.decisions):
             raise RuntimeError("scripted critic has no more decisions")
         decision = self.decisions[self._next]
         self._next += 1
-        return [Verdict(accepted=decision, source="scripted")]
+        return Verdict(accepted=decision, source="scripted")

@@ -122,7 +122,7 @@ def _bridge_run(p: float, q: float, s: float, z: int, n: int, seed: int):
     digest = hashlib.sha256()
     for i in range(n):
         task = SpiderTask(task_id=f"t{i:06d}", db_id="synthetic", question="q?")
-        trace = run_ac_loop(actor, critic, task, config, ddl)
+        trace = run_ac_loop(actor, (critic.judge,), task, config, ddl)
         hits += trace.final_sql == CORRECT_SQL
         digest.update(json.dumps(trace_to_dict(trace), sort_keys=True).encode())
     return hits / n, digest.hexdigest()
@@ -158,7 +158,7 @@ def test_criterion_07_scripted_dialogue_replay(battle_ddl):
     # Rejected first attempt, accepted rework.
     actor = ScriptedActor([FIRST_TRY_SQL, JOIN_SQL])
     critic = ScriptedCritic([False, True])
-    trace = run_ac_loop(actor, critic, task, ACConfig(max_iterations=5), battle_ddl)
+    trace = run_ac_loop(actor, (critic.judge,), task, ACConfig(max_iterations=5), battle_ddl)
     assert len(trace.iterations) == 2
     assert trace.stopped_by == "accepted"
     assert trace.iterations[0].generated_sql == FIRST_TRY_SQL
@@ -174,7 +174,7 @@ def test_criterion_07_scripted_dialogue_replay(battle_ddl):
     # generation is emitted without review.
     actor = ScriptedActor([FIRST_TRY_SQL], cycle_last=True)
     critic = ScriptedCritic([False, False])
-    trace = run_ac_loop(actor, critic, task, ACConfig(max_iterations=3), battle_ddl)
+    trace = run_ac_loop(actor, (critic.judge,), task, ACConfig(max_iterations=3), battle_ddl)
     assert len(trace.iterations) == 3
     assert trace.stopped_by == "budget_exhausted"
     assert trace.final_sql == FIRST_TRY_SQL

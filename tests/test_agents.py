@@ -14,7 +14,6 @@ from acsql.agents import (
     CORRECT_SQL,
     WRONG_SQL,
     BernoulliActor,
-    CompositeCritic,
     StochasticCritic,
     Verdict,
     build_actor_prompt,
@@ -24,7 +23,8 @@ from acsql.agents import (
     extract_sql,
     parse_verdict,
 )
-from acsql.spider_data import database_path
+from acsql.engine import ACConfig, run_ac_loop
+from acsql.spider_data import SpiderTask, database_path
 from acsql.sqlexec import DatabaseUnavailable, open_readonly, run_query
 from doubles import ScriptedActor, ScriptedCritic
 
@@ -316,11 +316,21 @@ def _execution(database):
     return lambda candidate_sql, schema_ddl, question: execution_critic(candidate_sql, database)
 
 
+def _first_verdicts(critic, sql, ddl):
+    """The verdicts run_ac_loop records when critic reviews sql as a first draft."""
+    actor = ScriptedActor([sql], cycle_last=True)
+    task = SpiderTask("t00000", "battle_death", "q?")
+    trace = run_ac_loop(actor, critic, task, ACConfig(max_iterations=2), ddl)
+    return trace.iterations[0].verdicts
+
+
 class TestCompositeCritic:
+    """A critic's components, run in order by run_ac_loop, stopping at the first reject."""
+
     def test_execution_reject_short_circuits(self, battle_db, battle_ddl):
         judge = _FixedJudge([True])
-        verdicts = CompositeCritic((_execution(battle_db), judge.judge)).review(
-            "SELECT nope FROM death", schema_ddl=battle_ddl, question="q?"
+        verdicts = _first_verdicts(
+            (_execution(battle_db), judge.judge), "SELECT nope FROM death", battle_ddl
         )
         assert len(verdicts) == 1
         assert verdicts[0].source == "execution" and not verdicts[0].accepted
@@ -328,34 +338,30 @@ class TestCompositeCritic:
 
     def test_conjunction(self, battle_db, battle_ddl):
         judge = _FixedJudge([False])
-        verdicts = CompositeCritic((_execution(battle_db), judge.judge)).review(
-            "SELECT killed FROM death", schema_ddl=battle_ddl, question="q?"
+        verdicts = _first_verdicts(
+            (_execution(battle_db), judge.judge), "SELECT killed FROM death", battle_ddl
         )
         assert [v.source for v in verdicts] == ["execution", "llm"]
         assert verdicts[0].accepted and not verdicts[1].accepted
 
     def test_both_accept(self, battle_db, battle_ddl):
         judge = _FixedJudge([True])
-        verdicts = CompositeCritic((_execution(battle_db), judge.judge)).review(
-            "SELECT killed FROM death", schema_ddl=battle_ddl, question="q?"
+        verdicts = _first_verdicts(
+            (_execution(battle_db), judge.judge), "SELECT killed FROM death", battle_ddl
         )
         assert all(v.accepted for v in verdicts) and len(verdicts) == 2
 
     def test_single_critic_modes(self, battle_db, battle_ddl):
-        only_exec = CompositeCritic((_execution(battle_db),)).review(
-            "SELECT killed FROM death", schema_ddl=battle_ddl, question="q?"
-        )
+        only_exec = _first_verdicts((_execution(battle_db),), "SELECT killed FROM death", battle_ddl)
         assert [v.source for v in only_exec] == ["execution"]
-        only_llm = CompositeCritic((_FixedJudge([True]).judge,)).review(
-            "SELECT anything", schema_ddl=battle_ddl, question="q?"
-        )
+        only_llm = _first_verdicts((_FixedJudge([True]).judge,), "SELECT anything", battle_ddl)
         assert [v.source for v in only_llm] == ["llm"]
 
     def test_accept_implies_execution_accept(self, battle_db, battle_ddl):
         judge = _FixedJudge([True] * 50)
-        critic = CompositeCritic((_execution(battle_db), judge.judge))
+        critic = (_execution(battle_db), judge.judge)
         for sql in ("SELECT killed FROM death", "SELECT bogus FROM death", "junk"):
-            verdicts = critic.review(sql, schema_ddl=battle_ddl, question="q?")
+            verdicts = _first_verdicts(critic, sql, battle_ddl)
             if all(v.accepted for v in verdicts):
                 assert verdicts[0].source == "execution" and verdicts[0].accepted
 
@@ -376,8 +382,8 @@ class TestDoubles:
     def test_perfect_stochastic_critic(self):
         critic = StochasticCritic(q=0.0, s=0.0, rng=random.Random(2))
         for _ in range(50):
-            assert critic.review(CORRECT_SQL, schema_ddl="d", question="q")[0].accepted
-            assert not critic.review(WRONG_SQL, schema_ddl="d", question="q")[0].accepted
+            assert critic.judge(CORRECT_SQL, "d", "q").accepted
+            assert not critic.judge(WRONG_SQL, "d", "q").accepted
 
     def test_seeded_reproducibility(self):
         a = [BernoulliActor(0.5, random.Random(7)).respond([]) for _ in range(100)]
@@ -396,14 +402,8 @@ class TestDoubles:
         assert abs(hits / n - 0.3774) <= 3 * sigma
 
         critic = StochasticCritic(q=0.2541, s=0.1973, rng=random.Random(321))
-        wrong_accepts = sum(
-            critic.review(WRONG_SQL, schema_ddl="d", question="q")[0].accepted
-            for _ in range(n)
-        )
-        correct_rejects = sum(
-            not critic.review(CORRECT_SQL, schema_ddl="d", question="q")[0].accepted
-            for _ in range(n)
-        )
+        wrong_accepts = sum(critic.judge(WRONG_SQL, "d", "q").accepted for _ in range(n))
+        correct_rejects = sum(not critic.judge(CORRECT_SQL, "d", "q").accepted for _ in range(n))
         sigma_q = (0.2541 * (1 - 0.2541) / n) ** 0.5
         sigma_s = (0.1973 * (1 - 0.1973) / n) ** 0.5
         assert abs(wrong_accepts / n - 0.2541) <= 3 * sigma_q
@@ -419,8 +419,8 @@ class TestDoubles:
 
     def test_scripted_critic_sequence(self):
         critic = ScriptedCritic([False, True])
-        first = critic.review("a", schema_ddl="d", question="q")
-        second = critic.review("b", schema_ddl="d", question="q")
-        assert not first[0].accepted and second[0].accepted
+        first = critic.judge("a", "d", "q")
+        second = critic.judge("b", "d", "q")
+        assert not first.accepted and second.accepted
         with pytest.raises(RuntimeError):
-            critic.review("c", schema_ddl="d", question="q")
+            critic.judge("c", "d", "q")

@@ -1,13 +1,15 @@
 """CLI tests: flag parsing, output contracts, exit codes, reproducibility."""
 
 import argparse
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from acsql import evalkit
-from acsql.agents import CORRECT_SQL, CRITIC_MODES, CompositeCritic, build_critic_prompt
+from acsql.agents import CORRECT_SQL, CRITIC_MODES, build_critic_prompt
 from acsql.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, RunConfig, _build_factories, build_parser, main
 from acsql.engine import ACConfig, ACTrace, IterationRecord, TraceWarning, read_traces
 from acsql.spider_data import SpiderTask, database_path
@@ -229,6 +231,25 @@ class TestEvalCommands:
         run_cli(capsys, "eval", "run", "--config", str(config_path2), "--mode", "both", "--seed", "42")
         second = {t.task.task_id: t.final_sql for t in read_traces(out_path2)}
         assert first == second
+
+    def test_seeded_ablation_traces_are_pinned(self, capsys, micro_dataset):
+        # Seeded coin-flip agents make every trace line a fixed function of
+        # the code that runs the loop and records verdicts; this digest of
+        # each mode's sorted lines changes only when that behaviour does.
+        config_path, _ = _bernoulli_config(micro_dataset, "unused.jsonl", p=0.4)
+        config = json.loads(config_path.read_text())
+        config["critic"] = {"kind": "stochastic", "q": 0.3, "s": 0.2}
+        config_path.write_text(json.dumps(config))
+        out_dir = micro_dataset["root"] / "pinned"
+        code, _, _ = run_cli(capsys, "eval", "ablation", "--config", str(config_path),
+                             "--seed", "3", "--out-dir", str(out_dir))
+        assert code == EXIT_OK
+        digest = hashlib.sha256()
+        for mode in CRITIC_MODES:
+            digest.update(b"".join(sorted(
+                (out_dir / f"traces_{mode}.jsonl").read_bytes().splitlines(keepends=True)
+            )))
+        assert digest.hexdigest() == "c942ff0b86d46b3ce25166ec16505c8aae50b14f6dd923640b95bed8281ab382"
 
     def test_llm_mode_without_endpoint_is_usage_error(self, capsys, micro_dataset):
         code, _, err = run_cli(
@@ -461,6 +482,27 @@ class TestEvalCommands:
         assert not (out_dir / "traces_none.jsonl").exists()
         assert (out_dir / "traces_both.jsonl").read_bytes() == logged
 
+    def test_resume_over_a_bad_complete_line_exits_before_any_task(self, capsys, micro_dataset):
+        config_path, out_path = _bernoulli_config(micro_dataset, "bad.jsonl", p=0.5)
+        out_dir = micro_dataset["root"] / "ablation"
+        run = ["eval", "run", "--config", str(config_path), "--mode", "both", "--seed", "3"]
+        ablation = ["eval", "ablation", "--config", str(config_path), "--seed", "3",
+                    "--out-dir", str(out_dir)]
+        assert run_cli(capsys, *run)[0] == EXIT_OK
+        assert run_cli(capsys, *ablation, "--modes", "both")[0] == EXIT_OK
+        for log, argv in ((Path(out_path), run),
+                          (out_dir / "traces_both.jsonl", [*ablation, "--modes", "none,both"])):
+            lines = log.read_bytes().splitlines(keepends=True)
+            lines[1] = b'{"task_id": "t00001", broken\n'
+            log.write_bytes(b"".join(lines))
+            os.utime(log, ns=(10**18, 10**18))
+            logged = log.read_bytes()
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (EXIT_IO, ""), argv
+            assert f"{log}:2:" in err
+            assert log.read_bytes() == logged and log.stat().st_mtime_ns == 10**18
+        assert not (out_dir / "traces_none.jsonl").exists()
+
     def test_log_of_two_runs_is_io_error(self, capsys, micro_dataset):
         config_path, out_path = _bernoulli_config(micro_dataset, "mixed.jsonl", p=0.5)
         for mode, z in (("llm_only", "3"), ("both", "5")):
@@ -656,13 +698,13 @@ def test_critic_mode_table_drives_cli(capsys, micro_dataset, mode):
         _, _, critic_factory = _build_factories(config, mode)
         critic = critic_factory(SpiderTask("t00000", "battle_death", "q?", CORRECT_SQL))
         if not CRITIC_MODES[mode]:
-            assert critic is None
+            assert critic == ()
             return
-        # CORRECT_SQL executes, so every component runs, in table order
-        verdicts = critic.review(CORRECT_SQL, schema_ddl="", question="q?")
+        # CORRECT_SQL executes, so every component accepts, in table order
+        verdicts = [component(CORRECT_SQL, "", "q?") for component in critic]
     finally:
         server.stop()
-    assert isinstance(critic, CompositeCritic)
+    assert isinstance(critic, tuple)
     assert [v.source for v in verdicts] == list(CRITIC_MODES[mode])
     assert all(v.accepted for v in verdicts)
     # the judge gets the candidate, schema and question in component order

@@ -49,7 +49,7 @@ class TestRunAcLoop:
     def test_reject_then_accept(self, battle_ddl):
         actor = ScriptedActor([FIRST_TRY_SQL, JOIN_SQL])
         critic = ScriptedCritic([False, True])
-        trace = run_ac_loop(actor, critic, _task(), ACConfig(max_iterations=5), battle_ddl)
+        trace = run_ac_loop(actor, (critic.judge,), _task(), ACConfig(max_iterations=5), battle_ddl)
 
         assert len(trace.iterations) == 2
         assert trace.stopped_by == "accepted"
@@ -70,7 +70,7 @@ class TestRunAcLoop:
     def test_budget_exhaustion_leaves_final_unchecked(self, battle_ddl):
         actor = ScriptedActor([FIRST_TRY_SQL], cycle_last=True)
         critic = ScriptedCritic([False, False])
-        trace = run_ac_loop(actor, critic, _task(), ACConfig(max_iterations=3), battle_ddl)
+        trace = run_ac_loop(actor, (critic.judge,), _task(), ACConfig(max_iterations=3), battle_ddl)
 
         assert len(trace.iterations) == 3
         assert trace.stopped_by == "budget_exhausted"
@@ -81,7 +81,7 @@ class TestRunAcLoop:
     def test_mode_none_runs_single_unchecked_iteration(self, battle_ddl):
         actor = ScriptedActor([FIRST_TRY_SQL])
         config = ACConfig(max_iterations=5, critic_mode="none")
-        trace = run_ac_loop(actor, None, _task(), config, battle_ddl)
+        trace = run_ac_loop(actor, (), _task(), config, battle_ddl)
         assert len(trace.iterations) == 1
         assert trace.iterations[0].verdicts == ()
         assert trace.final_sql == FIRST_TRY_SQL
@@ -90,14 +90,14 @@ class TestRunAcLoop:
     def test_extracts_sql_from_chatty_reply(self, battle_ddl):
         actor = ScriptedActor(["```sql\nSELECT 1;\n```"])
         config = ACConfig(critic_mode="none")
-        trace = run_ac_loop(actor, None, _task(), config, battle_ddl)
+        trace = run_ac_loop(actor, (), _task(), config, battle_ddl)
         assert trace.final_sql == "SELECT 1;"
         assert trace.iterations[0].actor_raw_output == "```sql\nSELECT 1;\n```"
 
     def test_iteration_indices_increase_from_one(self, battle_ddl):
         actor = ScriptedActor(["SELECT 1"], cycle_last=True)
         critic = ScriptedCritic([False] * 4)
-        trace = run_ac_loop(actor, critic, _task(), ACConfig(max_iterations=5), battle_ddl)
+        trace = run_ac_loop(actor, (critic.judge,), _task(), ACConfig(max_iterations=5), battle_ddl)
         assert [r["index"] for r in trace_to_dict(trace)["iterations"]] == [1, 2, 3, 4, 5]
 
     def test_actor_failure_aborts_with_typed_error(self, battle_ddl):
@@ -106,7 +106,13 @@ class TestRunAcLoop:
                 raise ConnectionError("endpoint unreachable")
 
         with pytest.raises(ActorError):
-            run_ac_loop(FailingActor(), ScriptedCritic([]), _task(), ACConfig(), battle_ddl)
+            run_ac_loop(FailingActor(), (ScriptedCritic([]).judge,), _task(), ACConfig(), battle_ddl)
+
+    def test_reviewed_mode_without_components_calls_no_actor(self, battle_ddl):
+        actor = ScriptedActor([FIRST_TRY_SQL])
+        with pytest.raises(ValueError, match="critic required"):
+            run_ac_loop(actor, (), _task(), ACConfig(critic_mode="both"), battle_ddl)
+        assert actor.received == []
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -128,7 +134,7 @@ class TestRunAcLoop:
         hits = 0
         for i in range(n):
             task = SpiderTask(task_id=f"t{i:05d}", db_id="x", question="q?")
-            trace = run_ac_loop(actor, critic, task, config, battle_ddl)
+            trace = run_ac_loop(actor, (critic.judge,), task, config, battle_ddl)
             hits += trace.final_sql == CORRECT_SQL
         prob = expected_prob(ACParams(p, q, s, z))
         sigma = (prob * (1 - prob) / n) ** 0.5

@@ -18,7 +18,6 @@ import pytest
 from acsql.agents import (
     CORRECT_SQL,
     BernoulliActor,
-    CompositeCritic,
     StochasticCritic,
     Verdict,
     build_actor_prompt,
@@ -326,7 +325,7 @@ class TestEstimatePqs:
                 question="q?",
                 gold_sql=CORRECT_SQL,
             )
-            traces.append(run_ac_loop(actor, critic, task, config, ddl))
+            traces.append(run_ac_loop(actor, (critic.judge,), task, config, ddl))
         estimate = estimate_pqs(traces, spider_layout["db_dir"])
 
         def sigma(rate, count):
@@ -591,7 +590,7 @@ _SCRIPTS = {
 def _resume(tasks, schemas, actor_factory, config, out, **kwargs):
     """Run the tasks not yet traced in out as `eval run` does; return (summary, resumed)."""
     pending = pending_tasks(tasks, config, out)
-    summary = run_tasks(pending, schemas, actor_factory, lambda t: None, config, out, **kwargs)
+    summary = run_tasks(pending, schemas, actor_factory, lambda t: (), config, out, **kwargs)
     return summary, len(tasks) - len(pending)
 
 
@@ -711,7 +710,7 @@ class TestRunTasks:
         monkeypatch.setattr(evalkit, "write_trace", write_trace)
         with pytest.raises(type(error)):
             run_tasks(
-                tasks, _parsed_schemas(), lambda task: SlowActor(), lambda task: None,
+                tasks, _parsed_schemas(), lambda task: SlowActor(), lambda task: (),
                 ACConfig(critic_mode="none"), tmp_path / "traces.jsonl", concurrency=2,
             )
         # the two tasks running when the write failed may finish, and no queued one starts
@@ -730,7 +729,7 @@ class TestRunTasks:
 
         out = tmp_path / "traces.jsonl"
         summary = run_tasks(
-            tasks, schemas, actor_factory, lambda t: None,
+            tasks, schemas, actor_factory, lambda t: (),
             ACConfig(critic_mode="none"), out, concurrency=2,
         )
         assert summary.written == 2
@@ -753,7 +752,7 @@ class TestRunTasks:
             return actors[task.task_id]
 
         summary = run_tasks(
-            tasks, schemas, actor_factory, lambda t: None,
+            tasks, schemas, actor_factory, lambda t: (),
             ACConfig(critic_mode="none"), tmp_path / "traces.jsonl", concurrency=2,
         )
         # each prompt carries the DDL of the task's own database
@@ -789,7 +788,7 @@ class TestRunAblation:
     def _execution_critic(db_dir):
         def critic_factory(task):
             database = database_path(db_dir, task.db_id)
-            return CompositeCritic((lambda sql, ddl, question: execution_critic(sql, database),))
+            return (lambda sql, ddl, question: execution_critic(sql, database),)
 
         return critic_factory
 
@@ -797,7 +796,7 @@ class TestRunAblation:
         db_dir = spider_layout["db_dir"]
         reports = _ablate(
             {
-                "none": (self._scripted, lambda task: None),
+                "none": (self._scripted, lambda task: ()),
                 "execution_only": (self._scripted, self._execution_critic(db_dir)),
             },
             tmp_path / "ablation", db_dir, max_iterations=2, dataset_name="micro",
@@ -817,7 +816,7 @@ class TestRunAblation:
 
     def test_single_mode_equals_baseline_eval(self, spider_layout, tmp_path):
         reports = _ablate(
-            {"none": (self._scripted, lambda task: None)},
+            {"none": (self._scripted, lambda task: ())},
             tmp_path / "solo", spider_layout["db_dir"], max_iterations=5,
         )
         assert len(reports) == 1
@@ -834,7 +833,7 @@ class TestRunAblation:
 
         reports = _ablate(
             {
-                "none": (lambda task: Down(), lambda task: None),
+                "none": (lambda task: Down(), lambda task: ()),
                 "execution_only": (self._scripted, self._execution_critic(db_dir)),
             },
             tmp_path / "ab", db_dir, max_iterations=2,
