@@ -6,15 +6,25 @@ query orders its output at the top level, in which case row order
 matters. Text, integers and NULLs must match exactly; floating values
 match within 1e-6 relative tolerance.
 
+All candidate and gold SQL runs through `sqlexec.statement`. A gold
+runs to its end; a prediction is stepped only until its verdict is
+decided. A column count other than the gold's, or one row past the
+gold's row count, already scores it wrong, and an error in a later row
+could only score it wrong too, so neither is stepped further.
+
 evaluate_run and estimate_pqs share one scoring loop and each score
 their traces in one pass: the traces are sorted by db_id and each
 database is scored inside one block that holds its read-only connection,
 the result of each gold (None when the gold fails) and the verdict of
-each (gold, sql) pair. The block closes its connection when it ends or
-raises, so at most one is open and nothing outlives the call. A trace
-log that holds a task_id twice is refused when it is read
-(engine.read_traces), so no task is scored twice.
-execution_accuracy scores one pair with the same comparison code.
+each (gold, sql) pair. A candidate whose text is its own gold, which
+ran successfully, scores correct and is not run; for SQL without
+nondeterministic functions such as random() or date('now'), a query's
+result depends only on its text, so a run would give the same verdict.
+The block closes its connection when it ends or raises, so at most one
+is open and nothing outlives the call. A trace log that holds a task_id
+twice is refused when it is read (engine.read_traces), so no task is
+scored twice. execution_accuracy scores one pair with the same
+comparison code.
 
 pending_tasks is the resume check of a trace log; run_tasks appends one
 trace per task it is handed. An ablation scores one log per mode
@@ -29,12 +39,12 @@ from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .agents import Actor, CriticComponent
 from .engine import ACConfig, ACTrace, ActorError, read_trace_lines, run_ac_loop, write_trace
 from .spider_data import SpiderTask, SchemaIndex, database_path, schema_to_ddl
-from .sqlexec import DatabaseUnavailable, QueryFailure, open_readonly, run_query
+from .sqlexec import DatabaseUnavailable, QueryFailure, open_readonly, run_query, statement
 
 FLOAT_RTOL = 1e-6
 
@@ -116,24 +126,39 @@ def result_sets_match(
     )
 
 
+class _Gold(NamedTuple):
+    rows: list[tuple]
+    columns: int
+    ordered: bool  # the gold orders its output at the top level
+
+
+def _run_gold(conn: sqlite3.Connection, gold_sql: str, timeout: float) -> _Gold:
+    rows, columns = run_query(conn, gold_sql, timeout=timeout)
+    return _Gold(rows, columns, has_top_level_order_by(gold_sql))
+
+
 def _prediction_matches(
     conn: sqlite3.Connection,
     predicted_sql: str,
     gold_sql: str,
-    gold: tuple[list[tuple], int],
+    gold: _Gold,
     timeout: float,
 ) -> bool:
-    gold_rows, gold_cols = gold
+    """Score one prediction, stepping it only until its verdict is decided.
+
+    A prediction whose text is its gold's, which already ran, is not run.
+    """
+    if predicted_sql == gold_sql:
+        return True
     try:
-        # one row past the gold's count already makes the prediction wrong
-        predicted_rows, predicted_cols = run_query(
-            conn, predicted_sql, timeout=timeout, max_rows=len(gold_rows) + 1
-        )
+        with statement(conn, predicted_sql, timeout) as cursor:
+            if len(cursor.description) != gold.columns:
+                return False
+            # one row past the gold's count already makes the prediction wrong
+            rows = cursor.fetchmany(len(gold.rows) + 1)
     except QueryFailure:
         return False
-    if predicted_cols != gold_cols:
-        return False
-    return result_sets_match(predicted_rows, gold_rows, has_top_level_order_by(gold_sql))
+    return result_sets_match(rows, gold.rows, gold.ordered)
 
 
 def execution_accuracy(
@@ -149,7 +174,7 @@ def execution_accuracy(
     """
     with closing(open_readonly(database)) as conn:
         try:
-            gold = run_query(conn, gold_sql, timeout=timeout)
+            gold = _run_gold(conn, gold_sql, timeout)
         except QueryFailure as exc:
             raise GoldExecutionError(f"gold SQL failed: {exc}") from exc
         return _prediction_matches(conn, predicted_sql, gold_sql, gold, timeout)
@@ -243,13 +268,13 @@ def _scored_traces(
             yield from ((trace, None) for trace in group)
             continue
         with closing(conn):
-            golds: dict[str, tuple[list[tuple], int] | None] = {}
+            golds: dict[str, _Gold | None] = {}
             matches: dict[tuple[str, str], bool] = {}
             for trace in group:
                 gold_sql = trace.task.gold_sql
                 if gold_sql is not None and gold_sql not in golds:
                     try:
-                        golds[gold_sql] = run_query(conn, gold_sql, timeout=timeout)
+                        golds[gold_sql] = _run_gold(conn, gold_sql, timeout)
                     except QueryFailure:
                         golds[gold_sql] = None
                 gold = golds.get(gold_sql)

@@ -1,7 +1,7 @@
 """Read-only SQLite execution with a wall-clock cutoff.
 
-All candidate and gold SQL in this package runs through run_query, on a
-handle from open_readonly. The handle is opened in read-only mode
+All candidate and gold SQL in this package runs through `statement`, on
+a handle from open_readonly. The handle is opened in read-only mode
 (INSERT/UPDATE/... fail at the engine level) and carries, from its first
 statement until it closes, an authorizer that allows only reading:
 SELECT, reading a column, calling a function and recursive CTEs.
@@ -16,7 +16,9 @@ timeout, and the handle stays usable after an interrupt.
 import itertools
 import sqlite3
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 
 class DatabaseUnavailable(Exception):
@@ -62,16 +64,17 @@ def open_readonly(path: str | Path) -> sqlite3.Connection:
     return conn
 
 
-def run_query(
-    conn: sqlite3.Connection, sql: str, timeout: float = 30.0, max_rows: int | None = None
-) -> tuple[list[tuple], int]:
-    """Execute one statement on an open_readonly handle, returning (rows, column_count).
+@contextmanager
+def statement(conn: sqlite3.Connection, sql: str, timeout: float) -> Iterator[sqlite3.Cursor]:
+    """Execute one statement on an open_readonly handle and yield its cursor.
 
-    The statement always runs to completion, so an error in any row
-    fails it, but only its first max_rows rows are kept (all of them
-    when max_rows is None). Raises QueryFailure on any execution error
-    ("timeout after ...s" when the wall-clock cutoff interrupted the
-    statement, "not a query" for blank or comment-only text).
+    The cursor has stepped to its first row and has a description. An
+    execution error, whether it comes from the execute or from a row
+    the caller steps to inside the block, raises QueryFailure ("timeout
+    after ...s" when the wall-clock cutoff interrupted the statement,
+    "not a query" for blank or comment-only text). On exit the cursor
+    is closed, which resets a statement the caller did not step to its
+    end, and the cutoff is lifted.
     """
     deadline = time.monotonic() + timeout
 
@@ -79,18 +82,34 @@ def run_query(
         return 1 if time.monotonic() > deadline else 0
 
     conn.set_progress_handler(over_deadline, 10_000)
+    cursor = None
     try:
         cursor = conn.execute(sql)
-        rows = list(itertools.islice(cursor, max_rows))
-        for _ in cursor:  # a row past max_rows can still raise a runtime error
-            pass
-        if cursor.description is None:
+        if cursor.description is None:  # a statement with no columns has no rows
             raise QueryFailure("not a query")
-        return rows, len(cursor.description)
+        yield cursor
     except sqlite3.Error as exc:
         timed_out = time.monotonic() > deadline
         raise QueryFailure(f"timeout after {timeout}s" if timed_out else str(exc)) from exc
     except sqlite3.Warning as exc:  # e.g. multiple statements in one string
         raise QueryFailure(str(exc)) from exc
     finally:
+        if cursor is not None:
+            cursor.close()
         conn.set_progress_handler(None, 0)
+
+
+def run_query(
+    conn: sqlite3.Connection, sql: str, timeout: float = 30.0, max_rows: int | None = None
+) -> tuple[list[tuple], int]:
+    """Execute one statement on an open_readonly handle, returning (rows, column_count).
+
+    The statement always runs to completion, so an error in any row
+    fails it, but only its first max_rows rows are kept (all of them
+    when max_rows is None). Raises QueryFailure as `statement` does.
+    """
+    with statement(conn, sql, timeout) as cursor:
+        rows = list(itertools.islice(cursor, max_rows))
+        for _ in cursor:  # a row past max_rows can still raise a runtime error
+            pass
+        return rows, len(cursor.description)

@@ -43,6 +43,7 @@ from acsql.evalkit import (
     ablation_log,
     has_top_level_order_by,
     pending_tasks,
+    result_sets_match,
     run_tasks,
     with_baseline,
 )
@@ -398,15 +399,21 @@ class TestScoringPass:
 
     @pytest.fixture()
     def sql_runs(self, monkeypatch):
-        """How often the scoring code ran each SQL text."""
+        """How often the scoring code ran each SQL text, through either primitive."""
         runs = Counter()
         real_run_query = evalkit.run_query
+        real_statement = evalkit.statement
 
         def run_query(conn, sql, timeout, max_rows=None):
             runs[sql] += 1
             return real_run_query(conn, sql, timeout=timeout, max_rows=max_rows)
 
+        def statement(conn, sql, timeout):
+            runs[sql] += 1
+            return real_statement(conn, sql, timeout)
+
         monkeypatch.setattr(evalkit, "run_query", run_query)
+        monkeypatch.setattr(evalkit, "statement", statement)
         return runs
 
     @staticmethod
@@ -445,6 +452,25 @@ class TestScoringPass:
             }
             assert sorted(db_id for db_id, _ in opened) == ["battle_death", "copy"]
             self._assert_all_closed(opened)
+
+    def test_gold_text_candidate_runs_no_statement(self, spider_layout, sql_runs):
+        other_gold = "SELECT count(*) FROM battle"  # = 2
+        traces = [
+            _trace("t1", [self.GOLD], [True], self.GOLD, 2),
+            _trace("t2", ["SELECT 2", self.GOLD], [False, True], other_gold, 3),
+            _trace("t3", [other_gold], [True], "SELECT 2", 2),
+        ]
+        db_dir = spider_layout["db_dir"]
+        sql_runs.clear()
+        report = evaluate_run(traces, db_dir)
+        assert (report.n_tasks, report.ex) == (3, pytest.approx(2 / 3))
+        assert (sql_runs[self.GOLD], sql_runs[other_gold]) == (2, 2)
+        sql_runs.clear()
+        counts = estimate_pqs(traces, db_dir).counts
+        assert (counts.first_pass_correct, counts.correct_checked, counts.wrong_checked) == (3, 3, 1)
+        # each gold's text ran once as its gold and once as another task's
+        # candidate; as its own task's candidate it added no run
+        assert (sql_runs[self.GOLD], sql_runs[other_gold]) == (2, 2)
 
     def test_connection_closed_when_scoring_raises(self, spider_layout, monkeypatch, opened):
         db_dir = spider_layout["db_dir"]
@@ -564,6 +590,126 @@ class TestScoringPass:
             assert (report.ex, report.n_excluded) == (ex, excluded)
             assert estimate.counts.__dict__ == counts
             assert estimate.n_excluded == excluded
+
+
+def _fails_from(k: int) -> str:
+    """A column of _counting that raises "integer overflow" once x reaches k."""
+    return f"abs(-9223372036854775807 - (x >= {k}))"
+
+
+def _full_run_verdict(conn, candidate, gold_sql):
+    """The reference: run both statements to their end and compare every row.
+
+    None when the gold fails, as the scoring code excludes such a task.
+    """
+    try:
+        gold_rows, gold_columns = run_query(conn, gold_sql, max_rows=None)
+    except QueryFailure:
+        return None
+    try:
+        rows, columns = run_query(conn, candidate, max_rows=None)
+    except QueryFailure:
+        return False
+    return columns == gold_columns and result_sets_match(
+        rows, gold_rows, has_top_level_order_by(gold_sql)
+    )
+
+
+class TestStepsOnlyToTheVerdict:
+    """A prediction is stepped only until its verdict is decided, and its
+    gold's text is not run again; every verdict is the one a full run gives."""
+
+    GOLD = "SELECT killed FROM death"  # 12, 7, 3, 12
+    ORDERED_GOLD = "SELECT killed FROM death ORDER BY killed"
+    FAILING_GOLD = "SELECT nope FROM death"
+    LATE_FAILING_GOLD = _counting(20, _fails_from(5))
+    TEN = _counting(10)
+    CASES = {
+        "wrong column count, late error": (_counting(2000, "x, " + _fails_from(1000)), GOLD),
+        "more rows, late error": (_counting(2000, _fails_from(1000)), GOLD),
+        "fewer rows, then an error": (_counting(20, _fails_from(3)), TEN),
+        "the gold's rows, then an error": (_counting(20, _fails_from(11)), TEN),
+        "the gold's rows": (_counting(20) + " WHERE x <= 10", TEN),
+        "the gold's rows, then one more": (_counting(11), TEN),
+        "own gold text": (GOLD, GOLD),
+        "own ordered gold text": (ORDERED_GOLD, ORDERED_GOLD),
+        "another gold, same rows": ("SELECT count(*) FROM battle", "SELECT 2"),
+        "another gold, same multiset": (ORDERED_GOLD, GOLD),
+        "another gold, other order": (GOLD, ORDERED_GOLD),
+        "another gold, other rows": (GOLD, "SELECT 2"),
+        "another gold, other columns": ("SELECT killed, injured FROM death", GOLD),
+        "failing gold text": (FAILING_GOLD, GOLD),
+        "late failing gold text": (LATE_FAILING_GOLD, _counting(4)),
+        "other text, same rows": ("SELECT killed FROM death ORDER BY killed DESC", GOLD),
+        "other text, same order": ("SELECT killed FROM death ORDER BY 1", ORDERED_GOLD),
+        "other text, other order": ("SELECT killed FROM death ORDER BY killed DESC", ORDERED_GOLD),
+        "blank": ("", GOLD),
+        "comment only": ("  -- nothing here", GOLD),
+        "two statements": ("SELECT 1; SELECT 1", "SELECT 1"),
+        "temp table": ("CREATE TEMP TABLE death AS SELECT 1 AS killed", GOLD),
+        "write": ("DELETE FROM death", GOLD),
+    }
+    # Each gold runs on the handle before a target's candidate is scored.
+    PRIMED = (
+        GOLD, ORDERED_GOLD, "SELECT 2", "SELECT killed, injured FROM death",
+        "SELECT count(*) FROM battle", FAILING_GOLD, LATE_FAILING_GOLD,
+    )
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_verdict_equals_a_full_run(self, spider_layout, case):
+        candidate, gold = self.CASES[case]
+        db_dir = spider_layout["db_dir"]
+        database = database_path(db_dir, "battle_death")
+        traces = [
+            _trace(f"g{i}", ["SELECT 1"], [True], primed, 2) for i, primed in enumerate(self.PRIMED)
+        ] + [_trace("target", [candidate], [True], gold, 2)]
+        with closing(open_readonly(database)) as conn:
+            expected = [_full_run_verdict(conn, t.final_sql, t.task.gold_sql) for t in traces]
+        assert expected[-1] is not None
+        scored = [v for v in expected if v is not None]
+        report = evaluate_run(traces, db_dir)
+        assert (report.ex, report.n_excluded) == (sum(scored) / len(scored), len(traces) - len(scored))
+        estimate = estimate_pqs(traces, db_dir)
+        assert estimate.counts.__dict__ == {
+            "first_pass_correct": sum(scored),
+            "first_pass_total": len(scored),
+            "wrong_checked": len(scored) - sum(scored),
+            "wrong_accepted": len(scored) - sum(scored),
+            "correct_checked": sum(scored),
+            "correct_rejected": 0,
+        }
+        assert execution_accuracy(candidate, gold, database) is expected[-1]
+
+    def test_cases_reach_both_verdicts(self, battle_db):
+        with closing(open_readonly(battle_db)) as conn:
+            verdicts = {_full_run_verdict(conn, *pair) for pair in self.CASES.values()}
+        assert verdicts == {True, False}
+
+    def test_a_decided_prediction_is_not_stepped_further(self, spider_layout, monkeypatch):
+        ticks = []
+        real_open = evalkit.open_readonly
+
+        def open_readonly(path):
+            conn = real_open(path)
+            conn.create_function("tick", 1, lambda x: ticks.append(x) or x)
+            return conn
+
+        monkeypatch.setattr(evalkit, "open_readonly", open_readonly)
+        db_dir = spider_layout["db_dir"]
+        database = database_path(db_dir, "battle_death")
+        gold = "SELECT 2"
+        wrong_columns = _counting(100_000, "tick(x), x")
+        too_many_rows = _counting(100_000, "tick(x)")
+        for candidate in (wrong_columns, too_many_rows):
+            traces = [_trace("t1", [candidate], [True], gold, 2)]
+            for score in (
+                lambda: evaluate_run(traces, db_dir).ex,
+                lambda: estimate_pqs(traces, db_dir).p_hat,
+                lambda: execution_accuracy(candidate, gold, database),
+            ):
+                ticks.clear()
+                assert score() == 0
+                assert 0 < len(ticks) < 10
 
 
 INVALID_SQL = "SELECT x FROM"
