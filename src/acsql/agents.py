@@ -58,7 +58,12 @@ class Verdict:
 
 
 class Actor(Protocol):
-    def respond(self, messages: list[ChatMessage]) -> str: ...
+    def respond(self, messages: list[ChatMessage]) -> str:
+        """The raw reply to the conversation so far.
+
+        The loop appends to messages after the call returns, so the list
+        is only valid during the call; an actor that keeps it copies it.
+        """
 
 
 # One check of a critic: (candidate_sql, schema_ddl, question) -> Verdict.

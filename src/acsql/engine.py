@@ -135,10 +135,10 @@ def run_ac_loop(
         if record.overall_accepted:
             break
         if index < budget:
-            messages = messages + [
+            messages.extend([
                 ChatMessage("assistant", raw),
                 ChatMessage("user", build_regeneration_prompt(task.question)),
-            ]
+            ])
 
     return ACTrace(task=task, config=config, iterations=tuple(iterations))
 

@@ -13,18 +13,21 @@ gold's row count, already scores it wrong, and an error in a later row
 could only score it wrong too, so neither is stepped further.
 
 evaluate_run and estimate_pqs share one scoring loop and each score
-their traces in one pass: the traces are sorted by db_id and each
+their traces in one pass: the traces are grouped by db_id and each
 database is scored inside one block that holds its read-only connection,
 the result of each gold (None when the gold fails) and the verdict of
 each (gold, sql) pair. A candidate whose text is its own gold, which
 ran successfully, scores correct and is not run; for SQL without
 nondeterministic functions such as random() or date('now'), a query's
 result depends only on its text, so a run would give the same verdict.
-The block closes its connection when it ends or raises, so at most one
-is open and nothing outlives the call. A trace log that holds a task_id
-twice is refused when it is read (engine.read_traces), so no task is
-scored twice. execution_accuracy scores one pair with the same
-comparison code.
+The databases are scored on a thread pool, up to min(databases, CPU
+count) at once, each on its own handle (sqlite3 releases the GIL while
+a statement steps). Each block closes its connection when it ends or
+raises, so all are closed before the call returns, and the results are
+read in db_id order, so reports do not depend on thread scheduling. A
+trace log that holds a task_id twice is refused when it is read
+(engine.read_traces), so no task is scored twice. execution_accuracy
+scores one pair with the same comparison code.
 
 pending_tasks is the resume check of a trace log; run_tasks appends one
 trace per task it is handed. An ablation scores one log per mode
@@ -38,8 +41,9 @@ import sqlite3
 from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .agents import Actor, CriticComponent
 from .engine import ACConfig, ACTrace, ActorError, read_trace_lines, run_ac_loop, write_trace
@@ -254,19 +258,19 @@ def _scored_traces(
     db_dir: str | Path,
     timeout: float,
     candidates: Callable[[ACTrace], list[str]],
-) -> Iterator[tuple[ACTrace, list[bool] | None]]:
-    """Yield (trace, verdict per candidate SQL), one database at a time.
+) -> list[tuple[ACTrace, list[bool] | None]]:
+    """(trace, verdict per candidate SQL) for every trace, in db_id order.
 
     The verdicts are None for a task that cannot be scored: it has no
     gold, its gold fails, or its database is missing.
     """
-    ordered = sorted(traces, key=lambda trace: trace.task.db_id)
-    for db_id, group in itertools.groupby(ordered, key=lambda trace: trace.task.db_id):
+
+    def score(group: list[ACTrace]) -> list[tuple[ACTrace, list[bool] | None]]:
         try:
-            conn = open_readonly(database_path(db_dir, db_id))
+            conn = open_readonly(database_path(db_dir, group[0].task.db_id))
         except DatabaseUnavailable:
-            yield from ((trace, None) for trace in group)
-            continue
+            return [(trace, None) for trace in group]
+        scored = []
         with closing(conn):
             golds: dict[str, _Gold | None] = {}
             matches: dict[tuple[str, str], bool] = {}
@@ -279,7 +283,7 @@ def _scored_traces(
                         golds[gold_sql] = None
                 gold = golds.get(gold_sql)
                 if gold is None:
-                    yield trace, None
+                    scored.append((trace, None))
                     continue
                 verdicts = []
                 for sql in candidates(trace):
@@ -288,7 +292,15 @@ def _scored_traces(
                             conn, sql, gold_sql, gold, timeout
                         )
                     verdicts.append(matches[gold_sql, sql])
-                yield trace, verdicts
+                scored.append((trace, verdicts))
+        return scored
+
+    db_id = attrgetter("task.db_id")
+    groups = [list(group) for _, group in itertools.groupby(sorted(traces, key=db_id), key=db_id)]
+    # A database that raises, or a Ctrl-C, cancels those not yet started;
+    # leaving the block joins the rest, so no thread or handle outlives the call.
+    with ThreadPoolExecutor(max(1, min(len(groups), os.cpu_count() or 1))) as pool:
+        return [pair for scored in pool.map(score, groups) for pair in scored]
 
 
 def evaluate_run(

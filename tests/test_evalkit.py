@@ -6,6 +6,7 @@ import os
 import random
 import shutil
 import sqlite3
+import threading
 import time
 import tracemalloc
 import warnings
@@ -309,6 +310,10 @@ class TestEstimatePqs:
         assert estimate.p_hat == 1.0
         assert estimate.s_hat == 0.0
         assert estimate.q_hat is None  # no wrong generation was ever checked
+        # an empty log scores no database and has no rate at all
+        empty = estimate_pqs([], spider_layout["db_dir"])
+        assert (empty.p_hat, empty.q_hat, empty.s_hat, empty.n_excluded) == (None, None, None, 0)
+        assert evaluate_run([], spider_layout["db_dir"]).ex is None
 
     def test_recovers_rates_from_stochastic_doubles(self, spider_layout):
         p, q, s, z = 0.4, 0.25, 0.3, 3
@@ -387,11 +392,13 @@ class TestScoringPass:
     def opened(self, monkeypatch):
         """Every connection the scoring code opens, in order."""
         connections = []
+        lock = threading.Lock()  # databases open on worker threads
         real_open = evalkit.open_readonly
 
         def open_readonly(path):
             conn = real_open(path)
-            connections.append((path.parent.name, conn))
+            with lock:
+                connections.append((path.parent.name, conn))
             return conn
 
         monkeypatch.setattr(evalkit, "open_readonly", open_readonly)
@@ -401,15 +408,18 @@ class TestScoringPass:
     def sql_runs(self, monkeypatch):
         """How often the scoring code ran each SQL text, through either primitive."""
         runs = Counter()
+        lock = threading.Lock()  # Counter's += is not atomic across worker threads
         real_run_query = evalkit.run_query
         real_statement = evalkit.statement
 
         def run_query(conn, sql, timeout, max_rows=None):
-            runs[sql] += 1
+            with lock:
+                runs[sql] += 1
             return real_run_query(conn, sql, timeout=timeout, max_rows=max_rows)
 
         def statement(conn, sql, timeout):
-            runs[sql] += 1
+            with lock:
+                runs[sql] += 1
             return real_statement(conn, sql, timeout)
 
         monkeypatch.setattr(evalkit, "run_query", run_query)
@@ -475,18 +485,60 @@ class TestScoringPass:
     def test_connection_closed_when_scoring_raises(self, spider_layout, monkeypatch, opened):
         db_dir = spider_layout["db_dir"]
         _add_database(db_dir, "copy")
+        _add_database(db_dir, "third")
         traces = self._interleaved()
+        traces.append(_trace("t6", [self.SAME_ROWS], [True], self.GOLD, 3, db_id="third"))
+        spy = evalkit.open_readonly
+
+        def open_readonly(path):
+            if path.parent.name == "copy":
+                # the one worker is busy here while the first database's failure
+                # reaches the caller, which then cancels the third
+                time.sleep(0.2)
+            return spy(path)
+
+        error = None
 
         def explode(*args):
-            raise RuntimeError("comparison failed")
+            raise error
 
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(evalkit, "open_readonly", open_readonly)
         monkeypatch.setattr(evalkit, "result_sets_match", explode)
-        for score in (evaluate_run, estimate_pqs):
+        for error, score in itertools.product(
+            (RuntimeError("comparison failed"), KeyboardInterrupt()), (evaluate_run, estimate_pqs)
+        ):
             opened.clear()
-            with pytest.raises(RuntimeError):
+            with pytest.raises(type(error)) as raised:
                 score(traces, db_dir)
+            assert raised.value is error
             assert opened
             self._assert_all_closed(opened)
+            # the failure cancels the databases not yet started
+            assert "third" not in [db_id for db_id, _ in opened]
+
+    def test_databases_are_scored_concurrently(self, spider_layout, monkeypatch):
+        db_dir = spider_layout["db_dir"]
+        _add_database(db_dir, "copy")
+        traces = [
+            _trace("t1", [self.SAME_ROWS], [True], self.GOLD, 2),
+            _trace("t2", ["SELECT 1", self.SAME_ROWS], [False, True], self.GOLD, 3, db_id="copy"),
+        ]
+        # each database's one gold run waits for the other's: a serial pass breaks the barrier
+        barrier = threading.Barrier(2, timeout=5)
+        real_run_gold = evalkit._run_gold
+
+        def run_gold(conn, gold_sql, timeout):
+            barrier.wait()
+            return real_run_gold(conn, gold_sql, timeout)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(evalkit, "_run_gold", run_gold)
+        report = evaluate_run(traces, db_dir)
+        assert (report.n_tasks, report.ex) == (2, 1.0)
+        counts = estimate_pqs(traces, db_dir).counts
+        assert (counts.first_pass_correct, counts.first_pass_total) == (1, 2)
+        assert (counts.correct_checked, counts.wrong_checked) == (2, 1)
 
     def test_statement_cannot_change_what_later_ones_see(self, spider_layout):
         shadow = "CREATE TEMP TABLE death AS SELECT 1 AS killed"
@@ -565,7 +617,7 @@ class TestScoringPass:
         assert text_gold not in sql_runs
         assert [db_id for db_id, _ in opened] == ["battle_death", "battle_death"]
 
-    def test_equals_per_pair_scoring_in_every_order(self, spider_layout):
+    def test_equals_per_pair_scoring_in_every_order(self, spider_layout, monkeypatch):
         db_dir = spider_layout["db_dir"]
         _add_database(db_dir, "copy")
         correct, wrong, gold = "SELECT count(*) FROM battle", "SELECT 99", "SELECT 2"
@@ -584,7 +636,10 @@ class TestScoringPass:
         rng = random.Random(5)
         orders = [traces, traces[::-1]] + [rng.sample(traces, len(traces)) for _ in range(20)]
         orders += [list(p) + traces[6:] for p in itertools.permutations(traces[:6])]
-        for order in orders:
+        # every CPU count scores a third of the orders: 1, 2 and 8 workers
+        # give one result however the threads interleave
+        for order, cpus in zip(orders, itertools.cycle((1, 2, 8))):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             report = evaluate_run(order, db_dir)
             estimate = estimate_pqs(order, db_dir)
             assert (report.ex, report.n_excluded) == (ex, excluded)
