@@ -329,13 +329,9 @@ def _cmd_eval(args) -> int:
 
     estimate = evalkit.estimate_pqs(traces, args.db_dir, timeout=timeout)
     payload = estimate.to_json_dict()
-    if (
-        estimate.p_hat is not None
-        and estimate.q_hat is not None
-        and estimate.s_hat is not None
-        and traces
-    ):
-        z = traces[0].config.max_iterations  # read_traces allows one config per log
+    if estimate.p_hat is not None and estimate.q_hat is not None and estimate.s_hat is not None:
+        # a p_hat implies a scored trace; read_traces allows one config per log
+        z = traces[0].config.max_iterations
         payload["predicted_prob"] = theory.expected_prob(
             theory.ACParams(p=estimate.p_hat, q=estimate.q_hat, s=estimate.s_hat, z=z)
         )

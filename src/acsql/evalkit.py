@@ -424,33 +424,47 @@ def pending_tasks(
 ) -> list[SpiderTask]:
     """The resume check: the tasks not yet traced in out_path, in input order.
 
-    A trace in out_path with another config, or with another task under
-    one of these task ids, raises ValueError, and a log that
-    read_traces(strict=True) refuses, a bad complete line included,
-    raises TraceFormatError; either way out_path is not written. (A bad
-    line kept would stay in the log for good, beside its task's rerun.)
-    A last line that a crash cut short (it lacks its newline) is not
-    read: once the checks pass it is cut off, so its task runs again and
-    the next trace starts on a fresh line. A missing out_path has no traces.
+    The log is read once, forward. A trace in out_path with another
+    config, or with another task under one of these task ids, raises
+    ValueError, and a log that read_traces(strict=True) refuses, a bad
+    complete line included, raises TraceFormatError; either way out_path
+    is not written. (A bad line kept would stay in the log for good,
+    beside its task's rerun.) A last line that a crash cut short (it
+    lacks its newline) is not read: once the checks pass one truncate
+    cuts it off, so its task runs again and the next trace starts on a
+    fresh line; a log that ends in a newline is not written. A missing
+    out_path has no traces.
     """
     out_path = Path(out_path)
     if not out_path.exists():
         return list(tasks)
+    partial = 0  # bytes after the last newline; only the last line can lack one
+
+    def complete(lines: Iterable[bytes]) -> Iterable[bytes]:
+        nonlocal partial
+        for line in lines:
+            if line.endswith(b"\n"):
+                yield line
+            else:
+                partial = len(line)
+
     with open(out_path, "rb") as f:
-        complete = (line for line in f if line.endswith(b"\n"))
-        traces = read_trace_lines(complete, out_path, strict=True)
+        traces = read_trace_lines(complete(f), out_path, strict=True)
+        size = f.tell()
+    if traces and traces[0].config != config:  # read_trace_lines allows one config per log
+        first = traces[0]
+        raise ValueError(f"{out_path} holds task {first.task.task_id!r} run with {first.config}, "
+                         f"not {config}; resume with the same settings or start a new log")
     by_id = {task.task_id: task for task in tasks}
     done = set()
     for trace in traces:
         task_id = trace.task.task_id
-        if trace.config != config:
-            raise ValueError(f"{out_path} holds task {task_id!r} run with {trace.config}, "
-                             f"not {config}; resume with the same settings or start a new log")
         if by_id.get(task_id, trace.task) != trace.task:
             raise ValueError(f"{out_path} holds task {task_id!r} with another db_id, "
                              "question or gold than the tasks file; start a new log")
         done.add(task_id)
-    _drop_partial_last_line(out_path)
+    if partial:
+        os.truncate(out_path, size - partial)
     return [task for task in tasks if task.task_id not in done]
 
 
@@ -492,22 +506,6 @@ def run_tasks(
         finally:
             pool.shutdown(cancel_futures=True)
     return summary
-
-
-def _drop_partial_last_line(path: Path) -> None:
-    """Cut what follows the last newline; a log that ends in one is not written."""
-    with open(path, "rb+") as f:
-        size = end = f.seek(0, os.SEEK_END)
-        while end > 0:  # read back from the end, one block at a time
-            start = max(0, end - 4096)
-            f.seek(start)
-            newline = f.read(end - start).rfind(b"\n")
-            if newline >= 0:
-                end = start + newline + 1
-                break
-            end = start
-        if end < size:
-            f.truncate(end)
 
 
 def ablation_log(out_dir: str | Path, mode: str) -> Path:

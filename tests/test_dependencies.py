@@ -1,4 +1,5 @@
-"""The package imports exactly the third-party modules pyproject.toml declares."""
+"""The package imports exactly the third-party modules pyproject.toml declares,
+and its source parses as the oldest Python that pyproject.toml allows."""
 
 import ast
 import os
@@ -37,6 +38,14 @@ def _declared_dependencies() -> set[str]:
 
 def test_imports_match_declared_dependencies():
     assert _third_party_imports() == _declared_dependencies()
+
+
+def test_source_parses_as_the_oldest_supported_python():
+    # Only syntax: a regex that compiles on 3.11 alone is not caught here.
+    text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'^requires-python\s*=\s*">=(\d+)\.(\d+)"', text, re.M).groups()
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(int(major), int(minor)))
 
 
 def test_cli_imports_and_completes_without_requests():

@@ -851,15 +851,20 @@ class TestRunTasks:
         _resume(tasks[:2], schemas, actor_factory, config, out, concurrency=1)
         first, second = out.read_bytes().splitlines(keepends=True)
         # what a crash while writing the second trace can leave behind: half a
-        # line, a whole record short of its newline, a tail longer than the
-        # block the resume reads back from the end
-        for tail in (second[: len(second) // 2], second.rstrip(b"\n"), b'{"' + b"x" * 10_000):
-            out.write_bytes(first + tail)
+        # line, a whole record short of its newline, a 10 kB tail; and what a
+        # crash while writing the first leaves: a partial line with no newline
+        for kept, tail in [
+            (first, second[: len(second) // 2]),
+            (first, second.rstrip(b"\n")),
+            (first, b'{"' + b"x" * 10_000),
+            (b"", first[: len(first) // 2]),
+        ]:
+            out.write_bytes(kept + tail)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", TraceWarning)
                 summary, resumed = _resume(tasks, schemas, actor_factory, config, out)
                 ids = sorted(t.task.task_id for t in read_traces(out))
-            assert resumed == 1 and summary.written == 3
+            assert resumed == kept.count(b"\n") and summary.written == len(tasks) - resumed
             assert ids == ["t00000", "t00001", "t00002", "t00003"]
 
     def test_refused_resume_keeps_the_log(self, spider_layout, tmp_path):
@@ -880,13 +885,21 @@ class TestRunTasks:
                 pending_tasks(other_tasks, other_config, out)
             assert out.read_bytes() == logged and out.stat().st_mtime_ns == 10**18
 
-    def test_resume_of_a_complete_log_writes_nothing(self, spider_layout, tmp_path):
+    def test_resume_of_a_complete_log_writes_nothing(self, spider_layout, tmp_path, monkeypatch):
         tasks = _micro_tasks()
         out = tmp_path / "traces.jsonl"
         config = ACConfig(max_iterations=3, critic_mode="none")
         _resume(tasks[:2], _parsed_schemas(), lambda task: ScriptedActor([CORRECT]), config, out)
         os.utime(out, ns=(10**18, 10**18))
+        opened = []
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            opened.append((file, mode))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(evalkit, "open", spy_open, raising=False)
         assert pending_tasks(tasks, config, out) == tasks[2:]
+        assert opened == [(out, "rb")]  # once, read-only
         assert out.stat().st_mtime_ns == 10**18
 
     @pytest.mark.parametrize(
