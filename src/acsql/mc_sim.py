@@ -53,11 +53,12 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.repeats, int) or self.repeats < 1:
+        if isinstance(self.repeats, bool) or not isinstance(self.repeats, int) or self.repeats < 1:
             raise ValueError(f"repeats must be a positive integer, got {self.repeats!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or not 0 <= self.seed < _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 

@@ -1,6 +1,7 @@
 """Tests for prompt builders, reply parsing, critics, and test doubles."""
 
 import hashlib
+import logging
 import random
 import sqlite3
 from contextlib import closing
@@ -14,6 +15,7 @@ from acsql.agents import (
     CORRECT_SQL,
     WRONG_SQL,
     BernoulliActor,
+    LLMJudge,
     StochasticCritic,
     Verdict,
     build_actor_prompt,
@@ -24,6 +26,7 @@ from acsql.agents import (
     parse_verdict,
 )
 from acsql.engine import ACConfig, run_ac_loop
+from acsql.llm_client import EndpointConfig
 from acsql.spider_data import SpiderTask, database_path
 from acsql.sqlexec import DatabaseUnavailable, open_readonly, run_query
 from doubles import ScriptedActor, ScriptedCritic
@@ -364,6 +367,22 @@ class TestCompositeCritic:
             verdicts = _first_verdicts(critic, sql, battle_ddl)
             if all(v.accepted for v in verdicts):
                 assert verdicts[0].source == "execution" and verdicts[0].accepted
+
+
+class TestLLMJudge:
+    def test_unreachable_endpoint_rejects_with_a_warning(self, monkeypatch, caplog):
+        # No proxy may carry the request elsewhere; nothing listens on this port.
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        judge = LLMJudge(
+            EndpointConfig(base_url="http://127.0.0.2:9/v1", model="m", max_retries=0, timeout=5.0)
+        )
+        with caplog.at_level(logging.WARNING, logger="acsql.agents"):
+            verdict = judge.judge("SELECT 1", "CREATE TABLE t(x)", "q?")
+        assert (verdict.accepted, verdict.source) == (False, "llm")
+        assert verdict.detail.startswith("transport failure:")
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
 
 
 class TestDoubles:

@@ -13,7 +13,7 @@ from acsql.agents import CORRECT_SQL, CRITIC_MODES, build_critic_prompt
 from acsql.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, RunConfig, _build_factories, build_parser, main
 from acsql.engine import ACConfig, ACTrace, IterationRecord, TraceWarning, read_traces
 from acsql.spider_data import SpiderTask, database_path
-from conftest import write_traces
+from conftest import BATTLE_TABLES_ENTRY, write_traces
 from stub_llm import StubLLMServer
 
 
@@ -64,6 +64,16 @@ class TestTheoryCommands:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "q,s,prob"
         assert len(lines) == 10202
+
+    def test_contour_to_stdout_is_the_file(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        argv = ["theory", "contour", "--p", "0.75", "--z", "3", "--resolution", "11"]
+        code, out, _ = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == EXIT_OK
+        assert out == f"wrote 121 rows to {out_path}\n"
+        code, out, _ = run_cli(capsys, *argv, "--out", "-")
+        assert code == EXIT_OK
+        assert out.encode() == out_path.read_bytes()
 
     def test_out_of_range_probability_rejected(self, capsys, tmp_path):
         # the trace log does not exist: a baseline is refused before the log is read
@@ -210,6 +220,35 @@ class TestEvalCommands:
         assert report["ex"] == 1.0
         assert report["n_tasks"] == 4
         assert report["mode"] == "none"
+
+    def test_report_prints_the_table(self, capsys, micro_dataset):
+        config_path, out_path = _bernoulli_config(micro_dataset, "traces.jsonl", p=0.5)
+        run_cli(capsys, "eval", "run", "--config", str(config_path), "--mode", "both",
+                "--seed", "3")
+        code, out, _ = run_cli(
+            capsys, "eval", "report", "--traces", out_path, "--db-dir", micro_dataset["db_dir"]
+        )
+        assert code == EXIT_OK
+        report = evalkit.evaluate_run(read_traces(out_path), micro_dataset["db_dir"])
+        assert out == evalkit.format_reports([report]) + "\n"
+
+    def test_run_lists_tasks_without_a_database_and_runs_the_rest(self, capsys, micro_dataset):
+        # lost_db is in the tables file, but its .sqlite file was never made
+        lost_entry = {**BATTLE_TABLES_ENTRY, "db_id": "lost_db"}
+        lost_task = {"question": "lost?", "db_id": "lost_db", "query": "SELECT 1"}
+        Path(micro_dataset["tables"]).write_text(json.dumps([BATTLE_TABLES_ENTRY, lost_entry]))
+        tasks = Path(micro_dataset["tasks"])
+        tasks.write_text(json.dumps([*json.loads(tasks.read_text()), lost_task]))
+        config_path, out_path = _bernoulli_config(micro_dataset, "traces.jsonl")
+        code, out, err = run_cli(
+            capsys, "eval", "run", "--config", str(config_path), "--mode", "none", "--seed", "3"
+        )
+        assert code == EXIT_OK
+        assert out == "traces written: 4, resumed: 0, failed: 0\n"
+        missing = database_path(micro_dataset["db_dir"], "lost_db")
+        assert "tasks unloadable: 1" in err
+        assert f"  t00004: database file missing: {missing}" in err.splitlines()
+        assert {t.task.db_id for t in read_traces(out_path)} == {"battle_death"}
 
     def test_run_resumes(self, capsys, micro_dataset):
         config_path, out_path = _bernoulli_config(micro_dataset, "resume.jsonl")

@@ -106,6 +106,12 @@ SCORED_PAIRS = [
     ("SELECT 0", "SELECT NULL", False),
     # aggregate computed two ways
     ("SELECT SUM(killed) * 1.0 / COUNT(*) FROM death", "SELECT AVG(killed) FROM death", True),
+    # BLOB cells sort among themselves and beside text when order is free
+    ("SELECT x'00' UNION ALL SELECT x'01'", "SELECT x'01' UNION ALL SELECT x'00'", True),
+    ("SELECT 'a' UNION ALL SELECT x'00'", "SELECT x'00' UNION ALL SELECT 'a'", True),
+    ("SELECT x'00' UNION ALL SELECT 'a'", "SELECT 'a' UNION ALL SELECT x'00'", True),
+    # a BLOB never equals text, even with the same bytes
+    ("SELECT 'a'", "SELECT x'61'", False),
 ]
 
 

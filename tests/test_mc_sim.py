@@ -23,6 +23,13 @@ def test_config_validation():
         SimulationConfig(params=params, seed=-1)
     with pytest.raises(ValueError):
         SimulationConfig(params=params, seed=2**64)
+    # a bool is an int subclass, but not a count or a seed
+    with pytest.raises(ValueError, match="trials must be a positive integer"):
+        SimulationConfig(params=params, trials=True)
+    with pytest.raises(ValueError, match="repeats must be a positive integer"):
+        SimulationConfig(params=params, repeats=True)
+    with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+        SimulationConfig(params=params, seed=True)
 
 
 def test_report_invariants():

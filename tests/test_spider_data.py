@@ -163,6 +163,24 @@ class TestLoadDataset:
         assert "ghost_db" in dataset.unloadable[0][1]
         assert "unloadable: 1" in dataset.load_report()
 
+    def test_missing_database_file_flagged(self, spider_layout):
+        # lost_db is in the tables file, but its .sqlite file was never made
+        spider_layout["tables"].write_text(
+            json.dumps([BATTLE_TABLES_ENTRY, {**BATTLE_TABLES_ENTRY, "db_id": "lost_db"}])
+        )
+        tasks_path = _write_tasks(
+            spider_layout["root"] / "tasks.json",
+            [
+                {"question": "q1", "db_id": "lost_db", "query": "SELECT 1"},
+                {"question": "q2", "db_id": "battle_death", "query": "SELECT 1"},
+            ],
+        )
+        dataset = load_dataset(tasks_path, spider_layout["tables"], spider_layout["db_dir"])
+        assert [t.task_id for t in dataset.tasks] == ["t00001"]
+        missing = database_path(spider_layout["db_dir"], "lost_db")
+        assert dataset.unloadable == [("t00000", f"database file missing: {missing}")]
+        assert set(dataset.schemas) == {"battle_death", "lost_db"}
+
     def test_empty_task_array(self, spider_layout):
         tasks_path = _write_tasks(spider_layout["root"] / "tasks.json", [])
         dataset = load_dataset(tasks_path, spider_layout["tables"], spider_layout["db_dir"])
