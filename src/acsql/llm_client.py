@@ -8,19 +8,22 @@ EndpointConfig checks every field's type and range when it is built.
 API keys are read from an environment variable at call time and never
 logged or persisted.
 
-The client is built on the standard library (`urllib.request`) and opens
-one connection per call. Proxies come from HTTP_PROXY/HTTPS_PROXY and
-NO_PROXY, read at call time; HTTPS verifies against the system CA store
-(or SSL_CERT_FILE).
+The client is built on the standard library (`http.client`) and opens
+one connection per attempt, closed when the reply has been read. A 3xx
+reply is not followed. The proxy comes from http_proxy/https_proxy and
+no_proxy, read by name at each call with urllib's rules: the lower-case
+name first, then the upper-case one. Platform proxy settings outside the
+environment are not read. HTTPS verifies against the system CA store (or
+SSL_CERT_FILE).
 """
 
+import base64
 import http.client
 import json
 import logging
 import math
 import os
 import time
-import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
@@ -68,7 +71,7 @@ class EndpointConfig:
     retry_backoff: tuple[float, ...] = (0.5, 1.0, 2.0)
 
     def __post_init__(self) -> None:
-        # urllib would also open ftp:// and file:// URLs; only HTTP is an endpoint.
+        # Only HTTP is an endpoint: _post has a connection for http and https alone.
         if not (isinstance(self.base_url, str)
                 and urllib.parse.urlsplit(self.base_url).scheme in ("http", "https")):
             raise ValueError(f"base_url must be an http(s) URL, got {self.base_url!r}")
@@ -88,6 +91,11 @@ class EndpointConfig:
         if not (isinstance(self.retry_backoff, tuple)
                 and all(_finite_number(d) and d >= 0 for d in self.retry_backoff)):
             raise ValueError(f"retry_backoff must list numbers >= 0, got {self.retry_backoff!r}")
+        if self.max_retries > 0 and not self.retry_backoff:
+            raise ValueError(
+                f"retry_backoff must list at least one delay when max_retries > 0, "
+                f"got {self.retry_backoff!r}"
+            )
 
 
 def _finite_number(value) -> bool:
@@ -95,8 +103,73 @@ def _finite_number(value) -> bool:
 
 
 def _backoff_delay(config: EndpointConfig, attempt: int) -> float:
-    schedule = config.retry_backoff or (1.0,)
+    schedule = config.retry_backoff
     return schedule[min(attempt, len(schedule) - 1)]
+
+
+def _proxy_variable(name: str) -> str | None:
+    """The value of `<name>_proxy` as urllib reads it, or None for no proxy.
+
+    The lower-case variable wins, and set but empty it means no proxy.
+    """
+    value = os.environ.get(f"{name}_proxy")
+    # Under CGI, HTTP_PROXY can come from a client's "Proxy:" header.
+    if value is None and not (name == "http" and "REQUEST_METHOD" in os.environ):
+        value = os.environ.get(f"{name.upper()}_PROXY")
+    return value or None
+
+
+def _proxy_for(scheme: str, netloc: str) -> str | None:
+    """The proxy URL for a request to `netloc`, or None to connect directly."""
+    proxy = _proxy_variable(scheme)
+    if proxy is None:
+        return None
+    no_proxy = _proxy_variable("no")
+    if no_proxy and urllib.request.proxy_bypass_environment(netloc, {"no": no_proxy}):
+        return None
+    return proxy
+
+
+_CONNECTION = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+
+
+def _post(url: urllib.parse.SplitResult, proxy: str | None, timeout: float,
+          data: bytes, headers: dict[str, str]) -> tuple[int, str]:
+    """POST `data` to `url` over one new connection; return the status and body.
+
+    Through a proxy, an http target is requested by its absolute URL, and an
+    https target is tunnelled with CONNECT, TLS running to the target. The
+    proxy's credentials go on the CONNECT in that case, never through the
+    tunnel.
+    """
+    selector = urllib.parse.urlunsplit(("", "", url.path, url.query, ""))
+    if proxy is None:
+        conn = _CONNECTION[url.scheme](url.netloc, timeout=timeout)
+    else:
+        parts = urllib.parse.urlsplit(proxy if "://" in proxy else "//" + proxy)
+        proxy_headers = {}
+        if parts.username and parts.password:
+            user_pass = ":".join(map(urllib.parse.unquote, (parts.username, parts.password)))
+            proxy_headers["Proxy-Authorization"] = (
+                "Basic " + base64.b64encode(user_pass.encode()).decode("ascii")
+            )
+        proxy_host = urllib.parse.unquote(parts.netloc.rpartition("@")[2])
+        if url.scheme == "https":
+            conn = http.client.HTTPSConnection(proxy_host, timeout=timeout)
+            conn.set_tunnel(url.netloc, headers=proxy_headers)
+        else:
+            # A proxy given as host:port, with no scheme, speaks http.
+            conn = _CONNECTION.get(parts.scheme, http.client.HTTPConnection)(
+                proxy_host, timeout=timeout
+            )
+            selector = url.geturl()
+            headers = {**headers, **proxy_headers}
+    try:
+        conn.request("POST", selector, data, {**headers, "Connection": "close"})
+        resp = conn.getresponse()
+        return resp.status, resp.read().decode("utf-8", errors="replace")
+    finally:
+        conn.close()
 
 
 def _extract_content(body: str) -> str:
@@ -119,7 +192,7 @@ def complete(config: EndpointConfig, messages: list[ChatMessage]) -> str:
     if not messages or messages[0].role != "user":
         raise ValueError("messages must open with a user turn")
 
-    url = config.base_url.rstrip("/") + "/chat/completions"
+    url = urllib.parse.urlsplit(config.base_url.rstrip("/") + "/chat/completions")
     payload = {
         "model": config.model,
         "messages": [{"role": m.role, "content": m.content} for m in messages],
@@ -132,24 +205,14 @@ def complete(config: EndpointConfig, messages: list[ChatMessage]) -> str:
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
 
-    # A fresh opener reads the proxy environment on every call;
-    # urlopen's shared opener would keep the first call's proxies.
-    opener = urllib.request.build_opener()
+    proxy = _proxy_for(url.scheme, url.netloc)
 
     last_error: Exception | None = None
     for attempt in range(config.max_retries + 1):
         if attempt > 0:
             time.sleep(_backoff_delay(config, attempt - 1))
-        # A new Request per attempt: a proxy handler rewrites the one it opens.
-        request = urllib.request.Request(url, data=data, headers=headers, method="POST")
         try:
-            try:
-                resp = opener.open(request, timeout=config.timeout)
-            except urllib.error.HTTPError as exc:
-                resp = exc  # a non-2xx reply still carries its status and body
-            with resp:
-                status = resp.status
-                body = resp.read().decode("utf-8", errors="replace")
+            status, body = _post(url, proxy, config.timeout, data, headers)
         except (OSError, http.client.HTTPException) as exc:
             last_error = exc
             logger.debug("completion attempt %d failed: %s", attempt + 1, exc)

@@ -44,6 +44,7 @@ class StubLLMServer:
                             "path": self.path,
                             "body": body,
                             "authorization": self.headers.get("Authorization"),
+                            "proxy_authorization": self.headers.get("Proxy-Authorization"),
                         }
                     )
                 result = stub.handler(body)

@@ -163,6 +163,7 @@ _BAD_SETTINGS = {
     "max-tokens-quoted": ({"actor": {**_DEAD_ENDPOINT, "max_tokens": "512"}}, "none"),
     "max-retries-bool": ({"actor": {**_DEAD_ENDPOINT, "max_retries": False}}, "none"),
     "backoff-not-a-list": ({"actor": {**_DEAD_ENDPOINT, "retry_backoff": 0.5}}, "none"),
+    "backoff-empty": ({"actor": {**_DEAD_ENDPOINT, "retry_backoff": []}}, "none"),
     "api-key-env-not-a-string": ({"actor": {**_DEAD_ENDPOINT, "api_key_env": 5}}, "none"),
     "critic-negative-backoff": (
         {"actor": _DEAD_ENDPOINT, "critic": {"retry_backoff": [-1]}}, "llm_only"

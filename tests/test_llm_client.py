@@ -1,8 +1,11 @@
 """Offline tests for the chat-completion client against a local stub."""
 
+import http.client
 import socketserver
 import threading
 import time
+import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -12,6 +15,7 @@ from acsql.llm_client import (
     EndpointConfig,
     ResponseParseError,
     TransportError,
+    _proxy_for,
     complete,
 )
 from stub_llm import StubLLMServer
@@ -117,13 +121,70 @@ def test_http_proxy_from_environment(proxy):
     assert [r["path"] for r in proxy.requests] == ["http://127.0.0.2:9/v1/chat/completions"]
 
 
+def test_http_proxy_credentials_go_on_the_request(proxy, monkeypatch):
+    monkeypatch.setenv("HTTP_PROXY", proxy.base_url.replace("http://", "http://u:p@"))
+    proxy.handler = lambda body: "via proxy"
+    config = EndpointConfig(
+        base_url="http://127.0.0.2:9/v1", model="m", max_retries=0, timeout=5.0
+    )
+    assert complete(config, [ChatMessage("user", "x")]) == "via proxy"
+    assert [(r["path"], r["proxy_authorization"]) for r in proxy.requests] == [
+        ("http://127.0.0.2:9/v1/chat/completions", "Basic dTpw")  # base64 of "u:p"
+    ]
+
+
+_PROXY_ENVIRONMENTS = {
+    "none": {},
+    "upper-case": {"HTTP_PROXY": "http://upper:1", "HTTPS_PROXY": "http://upper:2"},
+    "lower-over-upper": {
+        "http_proxy": "http://lower:1", "HTTP_PROXY": "http://upper:1",
+        "https_proxy": "lower:2", "HTTPS_PROXY": "http://upper:2",
+    },
+    "empty-lower": {"http_proxy": "", "HTTP_PROXY": "http://upper:1", "HTTPS_PROXY": "http://upper:2"},
+    "cgi": {"REQUEST_METHOD": "POST", "HTTP_PROXY": "http://client:1", "HTTPS_PROXY": "http://upper:2"},
+    "cgi-lower": {"REQUEST_METHOD": "POST", "http_proxy": "http://lower:1"},
+    "no-proxy-star": {"HTTP_PROXY": "http://upper:1", "NO_PROXY": "*"},
+    "no-proxy-suffix": {
+        "HTTP_PROXY": "http://upper:1", "HTTPS_PROXY": "http://upper:2", "NO_PROXY": ".example.com",
+    },
+    "no-proxy-host-port": {"HTTP_PROXY": "http://upper:1", "NO_PROXY": "other.org, api.example.com:8000"},
+    "no-proxy-lower-over-upper": {"HTTP_PROXY": "http://upper:1", "no_proxy": "other.org", "NO_PROXY": "*"},
+    "no-proxy-empty-lower": {"HTTP_PROXY": "http://upper:1", "no_proxy": "", "NO_PROXY": "*"},
+}
+
+_TARGETS = [
+    ("http", "api.example.com:8000"),
+    ("http", "api.example.com"),
+    ("http", "example.com"),
+    ("https", "api.example.com:443"),
+    ("https", "other.org"),
+    ("http", "127.0.0.1:9"),
+]
+
+
+@pytest.mark.parametrize("environment", _PROXY_ENVIRONMENTS.values(), ids=_PROXY_ENVIRONMENTS)
+def test_proxy_choice_equals_urllib(environment, monkeypatch):
+    _clear_proxy_env(monkeypatch)
+    monkeypatch.delenv("REQUEST_METHOD", raising=False)
+    for name, value in environment.items():
+        monkeypatch.setenv(name, value)
+    proxies = urllib.request.getproxies_environment()
+    for scheme, netloc in _TARGETS:
+        bypass = scheme not in proxies or urllib.request.proxy_bypass_environment(netloc)
+        expected = None if bypass else proxies[scheme]
+        assert _proxy_for(scheme, netloc) == expected, (scheme, netloc)
+
+
 class _TunnelRecorder(socketserver.StreamRequestHandler):
-    """Answers CONNECT with 200, records the first tunnelled byte, then hangs up."""
+    """Answers CONNECT with 200, records its headers and the first tunnelled byte, then hangs up."""
 
     def handle(self):
         request_line = self.rfile.readline().decode("latin-1").split()
-        while self.rfile.readline() not in (b"\r\n", b"\n", b""):
-            pass
+        headers = {}
+        while (line := self.rfile.readline()) not in (b"\r\n", b"\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        self.server.connect_headers.append(headers)
         self.wfile.write(b"HTTP/1.1 200 Connection established\r\n\r\n")
         self.server.attempts.append((request_line[:2], self.rfile.read(1)))
 
@@ -135,6 +196,7 @@ def connect_proxy(monkeypatch):
     server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _TunnelRecorder)
     server.daemon_threads = True
     server.attempts = []
+    server.connect_headers = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -161,11 +223,68 @@ def test_https_retries_stay_tunnelled(connect_proxy):
     assert connect_proxy.attempts == [(["CONNECT", "127.0.0.2:9"], b"\x16")] * 3
 
 
+def test_https_proxy_credentials_go_on_the_connect_only(connect_proxy, monkeypatch):
+    host, port = connect_proxy.server_address[:2]
+    monkeypatch.setenv("HTTPS_PROXY", f"http://u:p@{host}:{port}")
+    tunnelled = []
+    request = http.client.HTTPConnection.request
+
+    def recording_request(self, method, url, body=None, headers={}, **kwargs):
+        tunnelled.append({name.lower() for name in headers})
+        return request(self, method, url, body, headers, **kwargs)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "request", recording_request)
+    config = EndpointConfig(
+        base_url="https://127.0.0.2:9/v1", model="m", max_retries=0, timeout=5.0
+    )
+    with pytest.raises(TransportError):
+        complete(config, [ChatMessage("user", "x")])
+    assert [h.get("proxy-authorization") for h in connect_proxy.connect_headers] == ["Basic dTpw"]
+    assert len(tunnelled) == 1 and "proxy-authorization" not in tunnelled[0]
+
+
 def test_no_proxy_bypasses_the_proxy(stub, proxy, monkeypatch):
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     assert complete(_config(stub), [ChatMessage("user", "x")]) == "ok"
     assert len(stub.requests) == 1
     assert proxy.requests == []
+
+
+class _Redirector(BaseHTTPRequestHandler):
+    """Answers every request with a 302 to another path and records it."""
+
+    def _redirect(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.requests.append((self.command, self.path))
+        self.send_response(302)
+        self.send_header("Location", "/elsewhere")
+        self.send_header("Content-Length", "5")
+        self.end_headers()
+        self.wfile.write(b"moved")
+
+    do_GET = do_POST = _redirect
+
+    def log_message(self, *args):
+        pass
+
+
+def test_redirect_is_terminal():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Redirector)
+    server.requests = []
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address[:2]
+        config = EndpointConfig(
+            base_url=f"http://{host}:{port}/v1", model="m", retry_backoff=FAST_BACKOFF, timeout=5.0
+        )
+        with pytest.raises(TransportError, match="HTTP 302"):
+            complete(config, [ChatMessage("user", "x")])
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert server.requests == [("POST", "/v1/chat/completions")]
 
 
 def test_auth_failure_is_terminal(stub):
@@ -221,6 +340,10 @@ def test_config_validation():
         EndpointConfig(base_url="http://x", model="m", temperature=-1)
     with pytest.raises(ValueError):
         EndpointConfig(base_url="http://x", model="m", max_tokens=0)
+    # An empty schedule would leave the delay between retries undefined.
+    with pytest.raises(ValueError, match="retry_backoff"):
+        EndpointConfig(base_url="http://x", model="m", retry_backoff=())
+    EndpointConfig(base_url="http://x", model="m", max_retries=0, retry_backoff=())
 
 
 @pytest.mark.parametrize(
