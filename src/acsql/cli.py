@@ -34,14 +34,13 @@ from .agents import (
     execution_critic,
 )
 from .engine import ACConfig, TraceFormatError, read_traces
-from .llm_client import EndpointConfig, TransportError
+from .llm_client import EndpointConfig
 from .spider_data import DatasetFormatError, database_path, load_dataset
-from .sqlexec import DatabaseUnavailable
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_TRANSPORT = 4  # also used when a batch run completes with zero successes
+EXIT_NO_TRACES = 4  # a batch mode where tasks failed and none wrote a trace
 
 
 @dataclass
@@ -52,8 +51,8 @@ class RunConfig:
     tables: str = ""
     db_dir: str = ""
     out: str = ""
-    mode: str = "both"
-    max_iterations: int = 5
+    mode: str = ACConfig.critic_mode
+    max_iterations: int = ACConfig.max_iterations
     concurrency: int = 4
     exec_timeout: float = 5.0
     seed: int | None = None
@@ -224,9 +223,7 @@ def _load_run_config(args) -> RunConfig:
             raise UsageError(f"{name} must be a string, got {getattr(config, name)!r}")
         if name != "out" and not getattr(config, name):
             raise UsageError(f"missing required setting: {name}")
-    concurrency = config.concurrency
-    if isinstance(concurrency, bool) or not isinstance(concurrency, int) or concurrency < 1:
-        raise UsageError(f"concurrency must be an integer >= 1, got {concurrency!r}")
+    theory.check_int(config.concurrency, "concurrency")
     seed = config.seed
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise UsageError(f"seed must be an integer, got {seed!r}")
@@ -269,9 +266,8 @@ def _run_modes(config: RunConfig, logs: dict[str | Path, str]) -> tuple[int, lis
 
 
 def _exit_status(summaries: list[evalkit.RunSummary]) -> int:
-    # a mode where nothing succeeded is almost certainly an endpoint problem
     if any(s.failed and s.written == 0 for s in summaries):
-        return EXIT_TRANSPORT
+        return EXIT_NO_TRACES
     return EXIT_OK
 
 
@@ -345,13 +341,6 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="acsql",
@@ -369,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in (p_prob, p_limit):
         sp.add_argument("--q", type=float, required=True)
         sp.add_argument("--s", type=float, required=True)
-    p_prob.add_argument("--z", type=_positive_int, required=True)
-    p_contour.add_argument("--z", type=_positive_int, required=True)
-    p_contour.add_argument("--resolution", type=_positive_int, default=101)
+    p_prob.add_argument("--z", type=int, required=True)
+    p_contour.add_argument("--z", type=int, required=True)
+    p_contour.add_argument("--resolution", type=int, default=101)
     p_contour.add_argument("--out", default="-", help="CSV path, or - for stdout")
     p_theory.set_defaults(handler=_cmd_theory)
 
@@ -379,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p", type=float, required=True)
     p_sim.add_argument("--q", type=float, required=True)
     p_sim.add_argument("--s", type=float, required=True)
-    p_sim.add_argument("--z", type=_positive_int, required=True)
-    p_sim.add_argument("--trials", type=_positive_int, default=1_000_000)
-    p_sim.add_argument("--repeats", type=_positive_int, default=100)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--z", type=int, required=True)
+    p_sim.add_argument("--trials", type=int, default=mc_sim.SimulationConfig.trials)
+    p_sim.add_argument("--repeats", type=int, default=mc_sim.SimulationConfig.repeats)
+    p_sim.add_argument("--seed", type=int, default=mc_sim.SimulationConfig.seed)
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_eval = sub.add_parser("eval", help="dataset runs, scoring, estimation")
@@ -433,12 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetFormatError, TraceFormatError, DatabaseUnavailable, OSError) as exc:
+    except (DatasetFormatError, TraceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except TransportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
 
 
 if __name__ == "__main__":

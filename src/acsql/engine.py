@@ -32,6 +32,7 @@ from .agents import (
 )
 from .llm_client import ChatMessage
 from .spider_data import SpiderTask
+from .theory import check_int
 
 
 class ActorError(Exception):
@@ -52,9 +53,7 @@ class ACConfig:
     critic_mode: str = "both"
 
     def __post_init__(self) -> None:
-        z = self.max_iterations
-        if isinstance(z, bool) or not isinstance(z, int) or z < 1:
-            raise ValueError(f"max_iterations must be an integer >= 1, got {z!r}")
+        check_int(self.max_iterations, "max_iterations")
         if not isinstance(self.critic_mode, str) or self.critic_mode not in CRITIC_MODES:
             raise ValueError(
                 f"critic_mode must be one of {tuple(CRITIC_MODES)}, got {self.critic_mode!r}"

@@ -28,6 +28,8 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 
+from .theory import check_int
+
 logger = logging.getLogger(__name__)
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
@@ -83,10 +85,8 @@ class EndpointConfig:
             raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature!r}")
         if not (_finite_number(self.timeout) and self.timeout > 0):
             raise ValueError(f"timeout must be a finite number > 0, got {self.timeout!r}")
-        for name, least in (("max_tokens", 1), ("max_retries", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_int(self.max_tokens, "max_tokens")
+        check_int(self.max_retries, "max_retries", least=0)
         # time.sleep refuses a negative delay, which would end the whole batch.
         if not (isinstance(self.retry_backoff, tuple)
                 and all(_finite_number(d) and d >= 0 for d in self.retry_backoff)):

@@ -30,12 +30,12 @@ thread count or process count.
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .theory import ACParams, expected_prob
+from .theory import ACParams, check_int, expected_prob
 
 _MAX_SEED = 2**64
 # Trials per draw. The (rows, 2z-1) draw block is the memory high-water
@@ -53,10 +53,8 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if isinstance(self.repeats, bool) or not isinstance(self.repeats, int) or self.repeats < 1:
-            raise ValueError(f"repeats must be a positive integer, got {self.repeats!r}")
+        check_int(self.trials, "trials")
+        check_int(self.repeats, "repeats")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
                 or not 0 <= self.seed < _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
@@ -68,22 +66,20 @@ class SimulationReport:
     theory_prob: float
     abs_difference: float
     per_repeat_estimates: tuple[float, ...]
-    trials: int
-    repeats: int
-    seed: int
-    params: ACParams = field(repr=False)
+    config: SimulationConfig
 
     def to_json_dict(self) -> dict:
+        config = self.config
         return {
             "params": {
-                "p": self.params.p,
-                "q": self.params.q,
-                "s": self.params.s,
-                "z": self.params.z,
+                "p": config.params.p,
+                "q": config.params.q,
+                "s": config.params.s,
+                "z": config.params.z,
             },
-            "trials": self.trials,
-            "repeats": self.repeats,
-            "seed": self.seed,
+            "trials": config.trials,
+            "repeats": config.repeats,
+            "seed": config.seed,
             "estimated_accuracy": self.estimated_accuracy,
             "theory_prob": self.theory_prob,
             "abs_difference": self.abs_difference,
@@ -148,10 +144,7 @@ def simulate(config: SimulationConfig) -> SimulationReport:
         theory_prob=theory,
         abs_difference=abs(estimated - theory),
         per_repeat_estimates=tuple(estimates),
-        trials=config.trials,
-        repeats=config.repeats,
-        seed=config.seed,
-        params=config.params,
+        config=config,
     )
 
 

@@ -45,6 +45,12 @@ def check_prob(value, name: str) -> None:
         raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
+def check_int(value, name: str, least: int = 1) -> None:
+    """Raise ValueError unless value is an integer >= least; a bool is not a count here."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ACParams:
     """Parameters of one actor-critic configuration, or of a lattice of them.
@@ -62,8 +68,7 @@ class ACParams:
     def __post_init__(self) -> None:
         for name in ("p", "q", "s"):
             check_prob(getattr(self, name), name)
-        if not isinstance(self.z, int) or isinstance(self.z, bool) or self.z < 1:
-            raise ValueError(f"z must be an integer >= 1, got {self.z!r}")
+        check_int(self.z, "z")
 
 
 class GainRegion(Enum):
@@ -110,17 +115,12 @@ def enumerate_prob(params: ACParams) -> float:
     correct_rejected = p * s
     wrong_rejected = (1.0 - p) * (1.0 - q)
     total = 0.0
-    for stop in range(1, z):
+    for stop in range(1, z + 1):
         for prefix in itertools.product((True, False), repeat=stop - 1):
             path = 1.0
             for was_correct in prefix:
                 path *= correct_rejected if was_correct else wrong_rejected
-            total += path * p * (1.0 - s)
-    for prefix in itertools.product((True, False), repeat=z - 1):
-        path = 1.0
-        for was_correct in prefix:
-            path *= correct_rejected if was_correct else wrong_rejected
-        total += path * p
+            total += path * p * (1.0 - s) if stop < z else path * p
     return total
 
 
@@ -188,8 +188,7 @@ def contour_grid(p: float, z: int, resolution: int) -> ContourGrid:
     whole lattice is one array evaluation. Every point on the q + s = 1
     anti-diagonal carries prob = p (up to float rounding).
     """
-    if not isinstance(resolution, int) or resolution < 2:
-        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
+    check_int(resolution, "resolution", least=2)
     axis = np.arange(resolution) / (resolution - 1)
     prob = expected_prob(ACParams(p=p, q=axis[:, None], s=axis[None, :], z=z))
     return ContourGrid(p=p, z=z, q_values=axis, s_values=axis, prob=prob)

@@ -110,10 +110,36 @@ class TestSimulateCommand:
         code, second, _ = run_cli(capsys, *argv)
         assert second == first
 
-    def test_zero_trials_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--p", "0.5", "--q", "0.5", "--s", "0.5", "--z", "2", "--trials", "0"])
-        assert exc.value.code == 2
+    def test_zero_trials_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--p", "0.5", "--q", "0.5", "--s", "0.5", "--z", "2", "--trials", "0"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "error: trials must be an integer >= 1, got 0" in err
+
+
+# Integer flags the parser reads as int; the settings object that holds each refuses it.
+_REFUSED_INTEGER_FLAGS = {
+    "prob-z": (["theory", "prob", "--p", "0.5", "--q", "0.5", "--s", "0.5", "--z", "0"], "z", 1),
+    "contour-z": (["theory", "contour", "--p", "0.5", "--z", "0"], "z", 1),
+    "contour-resolution": (
+        ["theory", "contour", "--p", "0.5", "--z", "2", "--resolution", "1"], "resolution", 2
+    ),
+    "simulate-z": (["simulate", "--p", "0.5", "--q", "0.5", "--s", "0.5", "--z", "0"], "z", 1),
+    "simulate-repeats": (
+        ["simulate", "--p", "0.5", "--q", "0.5", "--s", "0.5", "--z", "2", "--repeats", "0"],
+        "repeats", 1,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, name, least", list(_REFUSED_INTEGER_FLAGS.values()), ids=list(_REFUSED_INTEGER_FLAGS)
+)
+def test_refused_integer_flag_is_usage_error(capsys, argv, name, least):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"error: {name} must be an integer >= {least}, got " in err
 
 
 @pytest.fixture
@@ -152,6 +178,9 @@ _BAD_SETTINGS = {
     "max-iterations-bool": ({"max_iterations": True}, "both"),
     "concurrency-quoted": ({"concurrency": "2"}, "both"),
     "concurrency-zero": ({"concurrency": 0}, "both"),
+    "unknown-config-key": ({"max_iteration": 5}, "none"),
+    "tasks-missing": ({"tasks": ""}, "none"),
+    "llm-actor-without-base-url": ({"actor": {"kind": "llm", "model": "m"}}, "none"),
     "unknown-actor-key": ({"actor": {**_DEAD_ENDPOINT, "max_retry": 0}}, "none"),
     "bad-endpoint": ({"actor": {**_DEAD_ENDPOINT, "temperature": -1}}, "none"),
     "actor-not-an-object": ({"actor": [_DEAD_ENDPOINT["base_url"]]}, "none"),
@@ -567,7 +596,7 @@ class TestEvalCommands:
 
     def test_ablation_bad_mode_rejected(self, capsys, micro_dataset):
         config_path, _ = _bernoulli_config(micro_dataset, "x.jsonl")
-        for modes in (["none,sideways"], ["none,none", "--seed", "3"]):
+        for modes in (["none,sideways"], ["none,none", "--seed", "3"], [",", "--seed", "3"]):
             code, _, err = run_cli(
                 capsys,
                 "eval", "ablation",
@@ -596,6 +625,15 @@ class TestEvalCommands:
             assert (code, out) == (EXIT_USAGE, ""), argv
             assert err.startswith("error: "), argv
             assert not out_path.parent.exists() and not out_dir.exists(), argv
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["unreadable", "malformed"])
+    def test_config_file_it_cannot_read_is_io_error(self, capsys, micro_dataset, text):
+        config_path = micro_dataset["root"] / "config.json"
+        if text is not None:
+            config_path.write_text(text)
+        code, out, err = run_cli(capsys, "eval", "run", "--config", str(config_path))
+        assert (code, out) == (EXIT_IO, "")
+        assert err.startswith(f"error: cannot read config {config_path}: ")
 
     def test_config_mode_not_a_string_exits_before_any_task(self, capsys, micro_dataset):
         config_path, out_path = _bernoulli_config(micro_dataset, "never.jsonl")

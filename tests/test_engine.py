@@ -2,6 +2,7 @@
 
 import json
 import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -194,7 +195,7 @@ def _unscorable_lines():
     over_budget["config"]["max_iterations"] = 1
     one_shot_mode = trace_to_dict(_sample_trace("t00009"))
     one_shot_mode["config"]["critic_mode"] = "none"
-    wrong_types = [trace_to_dict(_sample_trace("t00009")) for _ in range(8)]
+    wrong_types = [trace_to_dict(_sample_trace("t00009")) for _ in range(9)]
     wrong_types[0]["gold_sql"] = 5
     wrong_types[1]["iterations"][0]["index"] = "1"
     wrong_types[2]["iterations"][0]["index"] = True
@@ -203,6 +204,8 @@ def _unscorable_lines():
     wrong_types[5]["iterations"][0]["verdicts"] = {}
     wrong_types[6]["config"] = []
     wrong_types[7]["question"] = None
+    wrong_types[8]["iterations"][0] = "SELECT 1"
+    not_an_object = [trace_to_dict(_sample_trace("t00009"))]
     return [
         json.dumps(record)
         for record in (
@@ -213,6 +216,7 @@ def _unscorable_lines():
             over_budget,
             one_shot_mode,
             *wrong_types,
+            not_an_object,
         )
     ]
 
@@ -248,6 +252,15 @@ class TestTracePersistence:
         path = tmp_path / "traces.jsonl"
         path.write_text("")
         assert read_traces(path) == []
+        # blank lines are no records, so neither mode warns about them
+        write_traces([_sample_trace("t00001")], path)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("\n \t\n")
+        write_traces([_sample_trace("t00002")], path, append=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for strict in (False, True):
+                assert [t.task.task_id for t in read_traces(path, strict)] == ["t00001", "t00002"]
 
     def test_corrupt_line_skipped_with_warning(self, tmp_path):
         path = tmp_path / "traces.jsonl"

@@ -295,10 +295,14 @@ def test_auth_failure_is_terminal(stub):
 
 
 def test_malformed_response_carries_body(stub):
-    stub.handler = lambda body: (200, '{"unexpected": 1}')
-    with pytest.raises(ResponseParseError) as exc_info:
-        complete(_config(stub), [ChatMessage("user", "x")])
-    assert exc_info.value.body == '{"unexpected": 1}'
+    for reply, message in (
+        ('{"unexpected": 1}', "malformed completion response"),
+        ('{"choices": [{"message": {"content": 5}}]}', "completion content is not text"),
+    ):
+        stub.handler = lambda body: (200, reply)
+        with pytest.raises(ResponseParseError, match=message) as exc_info:
+            complete(_config(stub), [ChatMessage("user", "x")])
+        assert exc_info.value.body == reply
 
 
 def test_api_key_read_from_env_at_call_time(stub, monkeypatch):

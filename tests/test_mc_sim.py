@@ -24,9 +24,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(params=params, seed=2**64)
     # a bool is an int subclass, but not a count or a seed
-    with pytest.raises(ValueError, match="trials must be a positive integer"):
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
         SimulationConfig(params=params, trials=True)
-    with pytest.raises(ValueError, match="repeats must be a positive integer"):
+    with pytest.raises(ValueError, match="repeats must be an integer >= 1"):
         SimulationConfig(params=params, repeats=True)
     with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
         SimulationConfig(params=params, seed=True)
@@ -38,7 +38,7 @@ def test_report_invariants():
     assert report.estimated_accuracy == sum(report.per_repeat_estimates) / 7
     assert report.abs_difference == abs(report.estimated_accuracy - report.theory_prob)
     assert report.theory_prob == expected_prob(config.params)
-    assert (report.trials, report.repeats, report.seed) == (5_000, 7, 11)
+    assert (report.config.trials, report.config.repeats, report.config.seed) == (5_000, 7, 11)
     assert len(report.per_repeat_estimates) == 7
 
 

@@ -215,6 +215,19 @@ class TestLoadDataset:
             with pytest.raises(DatasetFormatError, match="tasks.json: task 1 needs"):
                 load_dataset(bad, spider_layout["tables"], spider_layout["db_dir"])
 
+    def test_not_an_array_or_unreadable_is_format_error(self, spider_layout):
+        tasks, tables, db_dir = (spider_layout["root"] / "tasks.json", spider_layout["tables"],
+                                 spider_layout["db_dir"])
+        with pytest.raises(DatasetFormatError, match="cannot read .*tasks.json"):
+            load_dataset(tasks, tables, db_dir)  # not written yet
+        tasks.write_text('{"question": "q?"}')
+        with pytest.raises(DatasetFormatError, match="tasks.json: expected a JSON array of tasks"):
+            load_dataset(tasks, tables, db_dir)
+        tasks.write_text("[]")
+        tables.write_text("{}")
+        with pytest.raises(DatasetFormatError, match="expected a JSON array of database entries"):
+            load_dataset(tasks, tables, db_dir)
+
     def test_database_path_convention(self):
         assert str(database_path("/data/db", "concert_singer")).endswith(
             "/data/db/concert_singer/concert_singer.sqlite"
