@@ -18,7 +18,6 @@ first mode runs. `eval ablation` scores the logs after every mode ran.
 import argparse
 import hashlib
 import json
-import math
 import random
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -35,7 +34,7 @@ from .agents import (
 )
 from .engine import ACConfig, TraceFormatError, read_traces
 from .llm_client import EndpointConfig
-from .spider_data import DatasetFormatError, database_path, load_dataset
+from .spider_data import DatasetFormatError, database_path, load_dataset, read_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -64,8 +63,10 @@ class UsageError(ValueError):
     pass
 
 
-# Config keys of each actor and critic kind; an `llm` agent's keys are the
+# The keys a config file may hold, each overridden by its namesake flag, and
+# those of each actor and critic kind; an `llm` agent's keys are the
 # EndpointConfig fields (EndpointConfig holds defaults, checks values).
+_RUN_KEYS = tuple(f.name for f in fields(RunConfig))
 _ENDPOINT_KEYS = tuple(f.name for f in fields(EndpointConfig))
 _AGENT_KEYS = {
     "actor": {"llm": _ENDPOINT_KEYS, "bernoulli": ("p",)},
@@ -195,18 +196,14 @@ def _load_run_config(args) -> RunConfig:
     """Merge the JSON config and the flags; check the settings every mode shares."""
     config = RunConfig()
     if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as f:
-                payload = json.load(f)
-        except (OSError, ValueError) as exc:
-            raise DatasetFormatError(f"cannot read config {args.config}: {exc}") from exc
+        payload = read_json(args.config)
         if not isinstance(payload, dict):
             raise UsageError(f"config {args.config} must hold a JSON object")
         for key, value in payload.items():
-            if not hasattr(config, key):
+            if key not in _RUN_KEYS:
                 raise UsageError(f"unknown config key {key!r}")
             setattr(config, key, value)
-    for name in (f.name for f in fields(RunConfig)):  # a flag overrides its namesake
+    for name in _RUN_KEYS:
         value = getattr(args, name, None)
         if value is not None:
             setattr(config, name, value)
@@ -227,15 +224,9 @@ def _load_run_config(args) -> RunConfig:
     seed = config.seed
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise UsageError(f"seed must be an integer, got {seed!r}")
-    _exec_timeout(config.exec_timeout)
-    return config
-
-
-def _exec_timeout(value) -> float:
     # A deadline that has already passed would interrupt every statement.
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
-        raise UsageError(f"exec-timeout must be a finite number > 0, got {value!r}")
-    return value
+    theory.check_number(config.exec_timeout, "exec-timeout", positive=True)
+    return config
 
 
 def _run_modes(config: RunConfig, logs: dict[str | Path, str]) -> tuple[int, list[evalkit.RunSummary]]:
@@ -305,7 +296,7 @@ def _cmd_eval(args) -> int:
         return _exit_status(summaries)
 
     # report and estimate-pqs
-    timeout = _exec_timeout(args.exec_timeout)
+    theory.check_number(args.exec_timeout, "exec-timeout", positive=True)
     if args.eval_cmd == "report" and args.baseline_ex is not None:
         theory.check_prob(args.baseline_ex, "baseline-ex")
     traces = read_traces(args.traces, strict=args.strict)
@@ -315,7 +306,7 @@ def _cmd_eval(args) -> int:
             args.db_dir,
             dataset_name=args.dataset_name,
             baseline_ex=args.baseline_ex,
-            timeout=timeout,
+            timeout=args.exec_timeout,
         )
         if args.json:
             print(json.dumps(report.to_json_dict(), indent=2))
@@ -323,7 +314,7 @@ def _cmd_eval(args) -> int:
             print(evalkit.format_reports([report]))
         return EXIT_OK
 
-    estimate = evalkit.estimate_pqs(traces, args.db_dir, timeout=timeout)
+    estimate = evalkit.estimate_pqs(traces, args.db_dir, timeout=args.exec_timeout)
     payload = estimate.to_json_dict()
     if estimate.p_hat is not None and estimate.q_hat is not None and estimate.s_hat is not None:
         # a p_hat implies a scored trace; read_traces allows one config per log
@@ -353,22 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_prob = theory_sub.add_parser("prob", help="expected correctness at budget z")
     p_limit = theory_sub.add_parser("limit", help="unbounded-budget limit")
     p_contour = theory_sub.add_parser("contour", help="(q, s) lattice as CSV")
-    for sp in (p_prob, p_limit, p_contour):
+    p_sim = sub.add_parser("simulate", help="Monte-Carlo validation run")
+    for sp in (p_prob, p_limit, p_contour, p_sim):
         sp.add_argument("--p", type=float, required=True)
-    for sp in (p_prob, p_limit):
+    for sp in (p_prob, p_limit, p_sim):
         sp.add_argument("--q", type=float, required=True)
         sp.add_argument("--s", type=float, required=True)
-    p_prob.add_argument("--z", type=int, required=True)
-    p_contour.add_argument("--z", type=int, required=True)
+    for sp in (p_prob, p_contour, p_sim):
+        sp.add_argument("--z", type=int, required=True)
     p_contour.add_argument("--resolution", type=int, default=101)
     p_contour.add_argument("--out", default="-", help="CSV path, or - for stdout")
     p_theory.set_defaults(handler=_cmd_theory)
 
-    p_sim = sub.add_parser("simulate", help="Monte-Carlo validation run")
-    p_sim.add_argument("--p", type=float, required=True)
-    p_sim.add_argument("--q", type=float, required=True)
-    p_sim.add_argument("--s", type=float, required=True)
-    p_sim.add_argument("--z", type=int, required=True)
     p_sim.add_argument("--trials", type=int, default=mc_sim.SimulationConfig.trials)
     p_sim.add_argument("--repeats", type=int, default=mc_sim.SimulationConfig.repeats)
     p_sim.add_argument("--seed", type=int, default=mc_sim.SimulationConfig.seed)

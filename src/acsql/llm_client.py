@@ -21,14 +21,13 @@ import base64
 import http.client
 import json
 import logging
-import math
 import os
 import time
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 
-from .theory import check_int
+from .theory import check_int, check_number
 
 logger = logging.getLogger(__name__)
 
@@ -81,30 +80,20 @@ class EndpointConfig:
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         # The request body is strict JSON, which has no NaN or Infinity.
-        if not (_finite_number(self.temperature) and self.temperature >= 0):
-            raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature!r}")
-        if not (_finite_number(self.timeout) and self.timeout > 0):
-            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout!r}")
+        check_number(self.temperature, "temperature")
+        check_number(self.timeout, "timeout", positive=True)
         check_int(self.max_tokens, "max_tokens")
         check_int(self.max_retries, "max_retries", least=0)
-        # time.sleep refuses a negative delay, which would end the whole batch.
-        if not (isinstance(self.retry_backoff, tuple)
-                and all(_finite_number(d) and d >= 0 for d in self.retry_backoff)):
+        if not isinstance(self.retry_backoff, tuple):
             raise ValueError(f"retry_backoff must list numbers >= 0, got {self.retry_backoff!r}")
+        for delay in self.retry_backoff:
+            # time.sleep refuses a negative delay, which would end the whole batch.
+            check_number(delay, "retry_backoff delay")
         if self.max_retries > 0 and not self.retry_backoff:
             raise ValueError(
                 f"retry_backoff must list at least one delay when max_retries > 0, "
                 f"got {self.retry_backoff!r}"
             )
-
-
-def _finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _backoff_delay(config: EndpointConfig, attempt: int) -> float:
-    schedule = config.retry_backoff
-    return schedule[min(attempt, len(schedule) - 1)]
 
 
 def _proxy_variable(name: str) -> str | None:
@@ -210,7 +199,7 @@ def complete(config: EndpointConfig, messages: list[ChatMessage]) -> str:
     last_error: Exception | None = None
     for attempt in range(config.max_retries + 1):
         if attempt > 0:
-            time.sleep(_backoff_delay(config, attempt - 1))
+            time.sleep(config.retry_backoff[min(attempt, len(config.retry_backoff)) - 1])
         try:
             status, body = _post(url, proxy, config.timeout, data, headers)
         except (OSError, http.client.HTTPException) as exc:

@@ -9,9 +9,10 @@ no verdict. The estimate is the fraction of trials whose emitted
 candidate was correct, averaged over independent repeats.
 
 Hits are counted by one sweep over iterations 1..z-1 that reads the two
-draws of an iteration only for the trials still looping, so a chunk
-costs about 1/(1 - A) column pairs, where A is the reject probability,
-rather than z - 1; the same code serves every z, z = 1 included.
+draws of an iteration only for the trials still looping, and ends once
+none is, so a chunk costs about 1/(1 - A) column pairs, where A is the
+reject probability, rather than z - 1; the same code serves every z,
+z = 1 included.
 
 Determinism contract
 --------------------
@@ -20,11 +21,12 @@ pure function of the config. Within a repeat, trial t consumes row t of
 a (trials, 2z-1) uniform matrix laid out per trial iteration as
 (correctness draw, verdict draw, correctness draw, ...). The matrix is
 drawn in row chunks of one stream; PCG64 fills row-major, so the chunks
-are exactly the rows of one big block, and memory does not depend on
-trials. Repeats run concurrently on a thread pool, and the final mean
-reduces per-repeat estimates in ascending repeat order. Identical
-configs therefore produce bit-identical reports, independent of machine,
-thread count or process count.
+are exactly the rows of one big block. A chunk holds at most
+_CHUNK_DRAWS draws (4.9 MiB), so memory depends on neither trials nor z
+until z = 319,488, past which a single row exceeds the cap. Repeats run
+concurrently on a thread pool, and the final mean reduces per-repeat
+estimates in ascending repeat order. Identical configs therefore produce
+bit-identical reports, independent of machine, thread count or process count.
 """
 
 import json
@@ -43,6 +45,8 @@ _MAX_SEED = 2**64
 # 1.42, 1.43 and 1.46 s at 16k, 32k and 64k rows (medians of 7), 11% more
 # at 8k; a z = 20, 10^6 x 2 run peaks at 10.6 MB here, 21.1 MB at 32k.
 _CHUNK_ROWS = 16_384
+# Draws per block: the z = 20 block's, so a larger z draws fewer rows at once.
+_CHUNK_DRAWS = _CHUNK_ROWS * 39
 
 
 @dataclass(frozen=True)
@@ -103,8 +107,9 @@ def _count_hits(params: ACParams, draws: np.ndarray) -> int:
     rows alone. A trial stops at its first accept and is a hit if that
     draft was correct; a trial that never stops is a hit if its last
     column is < p. The looping share shrinks by the reject probability at
-    each step, so the work follows the expected number of verdicts, not
-    z; at z = 1 the loop body never runs.
+    each step, and the sweep ends once no trial is looping, so the work
+    follows the expected number of verdicts, not z; at z = 1 the loop
+    body never runs.
     """
     p, q, s = params.p, params.q, params.s
     flat = draws.ravel()
@@ -116,15 +121,18 @@ def _count_hits(params: ACParams, draws: np.ndarray) -> int:
         hit = correct & (verdict >= s)
         hits += np.count_nonzero(hit)
         at = at[~(hit | (verdict < q) & ~correct)] + 2
+        if not at.size:
+            break
     return hits + int(np.count_nonzero(flat.take(at) < p))
 
 
 def _run_repeat(params: ACParams, trials: int, seed: int, repeat: int) -> float:
     rng = _repeat_rng(seed, repeat)
     width = 2 * params.z - 1
+    rows = max(1, min(_CHUNK_ROWS, _CHUNK_DRAWS // width))
     hits = sum(
-        _count_hits(params, rng.random((min(_CHUNK_ROWS, trials - start), width)))
-        for start in range(0, trials, _CHUNK_ROWS)
+        _count_hits(params, rng.random((min(rows, trials - start), width)))
+        for start in range(0, trials, rows)
     )
     return hits / trials
 

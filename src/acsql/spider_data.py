@@ -56,7 +56,8 @@ def database_path(db_dir: str | Path, db_id: str) -> Path:
     return Path(db_dir) / db_id / f"{db_id}.sqlite"
 
 
-def _read_json(path: str | Path):
+def read_json(path: str | Path):
+    """Parse one JSON file; an unreadable file or bad JSON raises DatasetFormatError."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as f:
@@ -77,7 +78,7 @@ def parse_tables_json(path: str | Path) -> SchemaIndex:
     or columns (any negative table index but the -1 of "*") raises
     DatasetFormatError naming the entry.
     """
-    raw = _read_json(path)
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise DatasetFormatError(f"{path}: expected a JSON array of database entries")
     index: SchemaIndex = {}
@@ -148,7 +149,7 @@ def load_dataset(
     tasks_path: str | Path, tables_path: str | Path, db_dir: str | Path
 ) -> LoadedDataset:
     """Load tasks and schemas; flag tasks whose database is missing, refuse malformed ones."""
-    raw_tasks = _read_json(tasks_path)
+    raw_tasks = read_json(tasks_path)
     if not isinstance(raw_tasks, list):
         raise DatasetFormatError(f"{tasks_path}: expected a JSON array of tasks")
     schemas = parse_tables_json(tables_path)

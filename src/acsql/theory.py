@@ -30,6 +30,7 @@ the closed form.
 """
 
 import itertools
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, TextIO
@@ -49,6 +50,16 @@ def check_int(value, name: str, least: int = 1) -> None:
     """Raise ValueError unless value is an integer >= least; a bool is not a count here."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_number(value, name: str, positive: bool = False) -> None:
+    """Raise ValueError unless value is a finite number >= 0 (> 0 if positive), not a bool."""
+    message = f"{name} must be a finite number {'> 0' if positive else '>= 0'}, got {value!r}"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(message)
+    # NaN fails the first comparison; inf, and an int too large for a float, the second.
+    if not (value > 0 if positive else value >= 0) or value > sys.float_info.max:
+        raise ValueError(message)
 
 
 @dataclass(frozen=True)

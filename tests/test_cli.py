@@ -179,6 +179,9 @@ _BAD_SETTINGS = {
     "concurrency-quoted": ({"concurrency": "2"}, "both"),
     "concurrency-zero": ({"concurrency": 0}, "both"),
     "unknown-config-key": ({"max_iteration": 5}, "none"),
+    # attributes of every object, not settings
+    "class-config-key": ({"__class__": 5}, "none"),
+    "doc-config-key": ({"__doc__": "x"}, "none"),
     "tasks-missing": ({"tasks": ""}, "none"),
     "llm-actor-without-base-url": ({"actor": {"kind": "llm", "model": "m"}}, "none"),
     "unknown-actor-key": ({"actor": {**_DEAD_ENDPOINT, "max_retry": 0}}, "none"),
@@ -633,7 +636,8 @@ class TestEvalCommands:
             config_path.write_text(text)
         code, out, err = run_cli(capsys, "eval", "run", "--config", str(config_path))
         assert (code, out) == (EXIT_IO, "")
-        assert err.startswith(f"error: cannot read config {config_path}: ")
+        what = "cannot read" if text is None else "malformed JSON in"
+        assert err.startswith(f"error: {what} {config_path}: ")
 
     def test_config_mode_not_a_string_exits_before_any_task(self, capsys, micro_dataset):
         config_path, out_path = _bernoulli_config(micro_dataset, "never.jsonl")

@@ -95,6 +95,15 @@ def test_transport_error_after_exhaustion(stub):
     assert len(stub.requests) == 3  # 1 + max_retries
 
 
+def test_retry_k_waits_the_kth_delay_then_the_last(stub, monkeypatch):
+    waits = []
+    monkeypatch.setattr(time, "sleep", waits.append)
+    stub.handler = lambda body: (503, "down")
+    with pytest.raises(TransportError):
+        complete(_config(stub, max_retries=4, retry_backoff=(0.25, 0.5)), [ChatMessage("user", "x")])
+    assert waits == [0.25, 0.5, 0.5, 0.5]
+
+
 def test_timeout_is_retried_then_raises(stub):
     stub.handler = lambda body: time.sleep(1.0) or "late"
     with pytest.raises(TransportError):
@@ -358,6 +367,7 @@ def test_config_validation():
         dict(base_url="localhost:8000/v1"),
         dict(base_url="file:///etc/v1"),
         dict(base_url="ftp://example.org/v1"),
+        dict(retry_backoff=(0.5, -1)),  # time.sleep refuses a negative delay
     ],
 )
 def test_config_refuses_what_the_client_cannot_send(overrides):

@@ -140,11 +140,12 @@ def _single_block_estimate(params, trials, seed, repeat):
 
 
 @pytest.mark.parametrize("cpus", [None, 1, 3])
-@pytest.mark.parametrize("z", [1, 2, 7, 20])
+@pytest.mark.parametrize("z", [1, 2, 7, 20, 60])
 def test_chunked_pool_matches_single_block_bit_for_bit(monkeypatch, z, cpus):
     if cpus is not None:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    chunk = mc_sim._CHUNK_ROWS
+    # rows per chunk: past z = 20 the draw cap, not _CHUNK_ROWS, sets it
+    chunk = min(mc_sim._CHUNK_ROWS, mc_sim._CHUNK_DRAWS // (2 * z - 1))
     params = ACParams(0.37, 0.61, 0.23, z)
     for trials in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
         config = SimulationConfig(params, trials=trials, repeats=3, seed=2024 + z)
@@ -183,6 +184,19 @@ def test_peak_allocation_does_not_grow_with_trials():
         tracemalloc.stop()
     # A single (trials, 2z-1) float64 block would be 312 MB here.
     assert peak < 64 * 2**20
+
+
+def test_peak_allocation_does_not_grow_with_z():
+    # p = q = s = 0: no trial ever stops, so every one loops to z
+    config = SimulationConfig(ACParams(0.0, 0.0, 0.0, 400), trials=16_384, repeats=1, seed=1)
+    tracemalloc.start()
+    try:
+        simulate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A (16384, 799) float64 block would be 100 MiB here.
+    assert peak < 8 * 2**20
 
 
 def test_failing_repeat_cancels_pending_repeats_and_leaves_no_thread(monkeypatch):

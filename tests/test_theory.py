@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from acsql.theory import (
     ACParams,
     GainRegion,
+    check_number,
     check_prob,
     classify_gain,
     contour_grid,
@@ -69,6 +70,34 @@ class TestParams:
             ACParams(p=0.5, q=0.5, s=0.5, z=0)
         with pytest.raises(ValueError):
             ACParams(p=0.5, q=0.5, s=0.5, z=2.5)  # type: ignore[arg-type]
+
+
+class TestCheckNumber:
+    # (value, positive, accepted); an int past the float range is not finite here
+    CASES = [
+        (True, False, False),
+        (False, False, False),
+        (math.nan, False, False),
+        (math.inf, False, False),
+        (-math.inf, False, False),
+        ("1", False, False),
+        (None, False, False),
+        (-1, False, False),
+        (10**400, False, False),
+        (0, True, False),
+        (0, False, True),
+        (0.5, True, True),
+        (2, True, True),
+    ]
+
+    @pytest.mark.parametrize("value, positive, accepted", CASES)
+    def test_table(self, value, positive, accepted):
+        if accepted:
+            check_number(value, "x", positive=positive)
+            return
+        bound = "> 0" if positive else ">= 0"
+        with pytest.raises(ValueError, match=f"^x must be a finite number {bound}, got "):
+            check_number(value, "x", positive=positive)
 
 
 class TestExpectedProb:
