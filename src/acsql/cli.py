@@ -13,6 +13,7 @@ LLM_API_KEY); config files and flags never carry secrets. `eval run` and
 settings before the dataset is read, so a bad one exits 2 with no trace
 file or directory written, and checks every mode's trace log before the
 first mode runs. `eval ablation` scores the logs after every mode ran.
+NumPy loads only for `theory prob|contour`, `simulate` and `estimate-pqs`' predicted_prob.
 """
 
 import argparse
@@ -23,7 +24,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from . import evalkit, mc_sim, theory
+from . import evalkit, theory
 from .agents import (
     CRITIC_MODES,
     BernoulliActor,
@@ -179,10 +180,13 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import mc_sim
+
     params = theory.ACParams(p=args.p, q=args.q, s=args.s, z=args.z)
-    config = mc_sim.SimulationConfig(
-        params=params, trials=args.trials, repeats=args.repeats, seed=args.seed
-    )
+    # SimulationConfig holds the defaults of the flags not given.
+    given = {name: value for name in ("trials", "repeats", "seed")
+             if (value := getattr(args, name)) is not None}
+    config = mc_sim.SimulationConfig(params=params, **given)
     print(mc_sim.simulate(config).to_json())
     return EXIT_OK
 
@@ -356,9 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_contour.add_argument("--out", default="-", help="CSV path, or - for stdout")
     p_theory.set_defaults(handler=_cmd_theory)
 
-    p_sim.add_argument("--trials", type=int, default=mc_sim.SimulationConfig.trials)
-    p_sim.add_argument("--repeats", type=int, default=mc_sim.SimulationConfig.repeats)
-    p_sim.add_argument("--seed", type=int, default=mc_sim.SimulationConfig.seed)
+    for flag in ("--trials", "--repeats", "--seed"):
+        p_sim.add_argument(flag, type=int)
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_eval = sub.add_parser("eval", help="dataset runs, scoring, estimation")

@@ -27,19 +27,30 @@ whole (q, s) lattice is one evaluation of `expected_prob`, and
 `enumerate_prob` recomputes the same quantity by brute-force enumeration
 of every outcome sequence and exists purely as an independent check on
 the closed form.
+
+NumPy loads only in `expected_prob`, `contour_grid` and `check_prob` of a non-number.
 """
+
+from __future__ import annotations
 
 import itertools
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def check_prob(value, name: str) -> None:
     """Raise ValueError unless value, a number or an array, lies in [0, 1] throughout."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not 0.0 <= value <= 1.0:  # NaN fails
+            raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+        return
+    import numpy as np
+
     array = np.asarray(value)
     # NaN fails both comparisons; a bool (dtype kind "b") is not a number here
     if array.dtype.kind not in "iuf" or not np.all((array >= 0.0) & (array <= 1.0)):
@@ -98,6 +109,8 @@ def expected_prob(params: ACParams) -> float | np.ndarray:
     are both zero) the geometric term is 0 and the tail A^(z-1) is 1, so
     the result is the direct sum p*(1-s)*(z-1) + p = p.
     """
+    import numpy as np
+
     p, q, s, z = params.p, params.q, params.s, params.z
     reject_round = p * s + (1.0 - p) * (1.0 - q)
     # Algebraically 1 - reject_round; exact where the geometric form is singular.
@@ -199,6 +212,8 @@ def contour_grid(p: float, z: int, resolution: int) -> ContourGrid:
     whole lattice is one array evaluation. Every point on the q + s = 1
     anti-diagonal carries prob = p (up to float rounding).
     """
+    import numpy as np
+
     check_int(resolution, "resolution", least=2)
     axis = np.arange(resolution) / (resolution - 1)
     prob = expected_prob(ACParams(p=p, q=axis[:, None], s=axis[None, :], z=z))

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from acsql import evalkit
+from acsql import evalkit, mc_sim
 from acsql.agents import CORRECT_SQL, CRITIC_MODES, build_critic_prompt
 from acsql.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, RunConfig, _build_factories, build_parser, main
 from acsql.engine import ACConfig, ACTrace, IterationRecord, TraceWarning, read_traces
+from acsql.mc_sim import SimulationConfig
 from acsql.spider_data import SpiderTask, database_path
+from acsql.theory import ACParams
 from conftest import BATTLE_TABLES_ENTRY, write_traces
 from stub_llm import StubLLMServer
 
@@ -116,6 +118,29 @@ class TestSimulateCommand:
         )
         assert (code, out) == (EXIT_USAGE, "")
         assert "error: trials must be an integer >= 1, got 0" in err
+
+    def test_flags_not_given_take_simulation_config_defaults(self, capsys, monkeypatch):
+        configs = []
+
+        class Report:
+            def to_json(self):
+                return "{}"
+
+        def simulate(config):
+            configs.append(config)
+            return Report()
+
+        monkeypatch.setattr(mc_sim, "simulate", simulate)
+        model = ["--p", "0.75", "--q", "0.25", "--s", "0.25", "--z", "3"]
+        for flags in ([], ["--repeats", "2"], ["--trials", "7", "--repeats", "2", "--seed", "5"]):
+            assert run_cli(capsys, "simulate", *model, *flags) == (EXIT_OK, "{}\n", "")
+        params = ACParams(p=0.75, q=0.25, s=0.25, z=3)
+        assert configs == [
+            SimulationConfig(params),
+            SimulationConfig(params, repeats=2),
+            SimulationConfig(params, trials=7, repeats=2, seed=5),
+        ]
+        assert (configs[0].trials, configs[0].repeats, configs[0].seed) == (10**6, 100, 0)
 
 
 # Integer flags the parser reads as int; the settings object that holds each refuses it.

@@ -1,13 +1,16 @@
 """The package imports exactly the third-party modules pyproject.toml declares,
-and its source parses as the oldest Python that pyproject.toml allows."""
+NumPy only where the model computes with arrays, and its source parses as the
+oldest Python that pyproject.toml allows."""
 
 import ast
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+from acsql.agents import CORRECT_SQL
 from stub_llm import StubLLMServer
 
 REPO = Path(__file__).resolve().parent.parent
@@ -73,3 +76,51 @@ def test_cli_imports_and_completes_without_requests():
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "stdlib only"
     assert len(stub.requests) == 1
+
+
+def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_eval_commands_run_without_numpy(spider_layout):
+    # Only the model's array math needs NumPy: theory prob|contour, simulate, estimate-pqs.
+    root = spider_layout["root"]
+    tasks = [{"question": f"q{i}?", "db_id": "battle_death", "query": CORRECT_SQL}
+             for i in range(4)]
+    (root / "tasks.json").write_text(json.dumps(tasks))
+    settings = {"tasks": str(root / "tasks.json"), "tables": str(spider_layout["tables"]),
+                "db_dir": str(spider_layout["db_dir"]), "seed": 3,
+                "actor": {"kind": "bernoulli", "p": 0.5}}
+    # a stochastic critic for `run`; `ablation` gets the execution critic on the database
+    (root / "run.json").write_text(json.dumps(
+        {**settings, "critic": {"kind": "stochastic", "q": 0.25, "s": 0.25}}
+    ))
+    (root / "ablation.json").write_text(json.dumps(settings))
+    log, db_dir = str(root / "run.jsonl"), str(spider_layout["db_dir"])
+    commands = [
+        ["theory", "limit", "--p", "0.5", "--q", "0.25", "--s", "0.25"],
+        ["eval", "run", "--config", str(root / "run.json"), "--mode", "both", "--out", log],
+        ["eval", "report", "--traces", log, "--db-dir", db_dir, "--json"],
+        ["eval", "ablation", "--config", str(root / "ablation.json"),
+         "--modes", "none,execution_only", "--out-dir", str(root / "ablation")],
+    ]
+    code = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import acsql, acsql.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    if acsql.cli.main(argv) != 0:\n"
+        "        sys.exit(f'exit status != 0: {argv}')\n"
+    )
+    result = _fresh_python(code, json.dumps(commands))
+    assert result.returncode == 0, result.stderr
+    assert '"ex": ' in result.stdout and "traces written: 4" in result.stdout
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    result = _fresh_python("import sys, acsql.cli\nprint('numpy' in sys.modules)")
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr

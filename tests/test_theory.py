@@ -100,6 +100,37 @@ class TestCheckNumber:
             check_number(value, "x", positive=positive)
 
 
+class TestCheckProb:
+    # (value, accepted): a plain int or float (np.float64 is one) is checked in Python,
+    # anything else through np.asarray, which refuses bool and non-numeric dtypes
+    CASES = [
+        (True, False),
+        (False, False),
+        (math.nan, False),
+        (-0.1, False),
+        (1.1, False),
+        ("0.5", False),
+        (None, False),
+        (np.array([True]), False),
+        (np.array([0.5, np.nan]), False),
+        (0, True),
+        (1, True),
+        (0.5, True),
+        (np.float64(0.5), True),
+        (np.int64(1), True),
+        (np.array([0.0, 1.0]), True),
+        ([0.25], True),
+    ]
+
+    @pytest.mark.parametrize("value, accepted", CASES)
+    def test_table(self, value, accepted):
+        if accepted:
+            check_prob(value, "p")
+            return
+        with pytest.raises(ValueError, match=r"^p must be a number in \[0, 1\], got "):
+            check_prob(value, "p")
+
+
 class TestExpectedProb:
     def test_reference_cells(self):
         for (p, q, s), expected_by_z in REFERENCE_CELLS.items():
