@@ -60,10 +60,6 @@ class RunConfig:
     critic: dict = field(default_factory=dict)
 
 
-class UsageError(ValueError):
-    pass
-
-
 # The keys a config file may hold, each overridden by its namesake flag, and
 # those of each actor and critic kind; an `llm` agent's keys are the
 # EndpointConfig fields (EndpointConfig holds defaults, checks values).
@@ -81,22 +77,22 @@ def _agent_settings(config: RunConfig, role: str) -> tuple[dict, tuple[float, ..
     kind = settings.get("kind", "llm")
     keys = _AGENT_KEYS[role].get(kind) if isinstance(kind, str) else None
     if keys is None:
-        raise UsageError(f"unknown {role} kind {kind!r}")
+        raise ValueError(f"unknown {role} kind {kind!r}")
     for key in sorted(settings.keys() - {"kind", *keys}):
-        raise UsageError(f"unknown key {key!r} in {kind} {role} settings")
+        raise ValueError(f"unknown key {key!r} in {kind} {role} settings")
     if kind == "llm":
         return settings, None
     if config.seed is None:
-        raise UsageError(f"--seed is required with a {kind} {role}")
+        raise ValueError(f"--seed is required with a {kind} {role}")
     for name in keys:
         if not isinstance(settings.get(name), (int, float)):  # missing, quoted or a list
-            raise UsageError(f"{kind} {role} needs a number {name}, got {settings.get(name)!r}")
+            raise ValueError(f"{kind} {role} needs a number {name}, got {settings.get(name)!r}")
         theory.check_prob(settings[name], name)
     return settings, tuple(float(settings[name]) for name in keys)
 
 
-def _endpoint_from(settings: dict, default_temperature: float) -> EndpointConfig:
-    kwargs = {"model": "default", "temperature": default_temperature}
+def _endpoint_from(settings: dict) -> EndpointConfig:
+    kwargs = {"model": "default"}
     for key, value in settings.items():
         if key != "kind":
             kwargs[key] = tuple(value) if isinstance(value, list) else value
@@ -115,10 +111,10 @@ def _build_factories(config: RunConfig, mode: str):
     endpoint = None
     if actor_probs is None:
         if not actor_settings.get("base_url"):
-            raise UsageError("actor endpoint required (--actor-base-url or config)")
+            raise ValueError("actor endpoint required (--actor-base-url or config)")
         # Nonzero sampling temperature by default: a deterministic actor
         # would regenerate the identical SQL after every reject.
-        endpoint = _endpoint_from(actor_settings, default_temperature=0.7)
+        endpoint = _endpoint_from({"temperature": 0.7, **actor_settings})
 
     def actor_factory(task):
         if endpoint is not None:
@@ -133,8 +129,8 @@ def _build_factories(config: RunConfig, mode: str):
         if not critic_settings.get("base_url"):  # the actor's endpoint, the critic's own keys
             judge_settings = {**actor_settings, **critic_settings}
         if not judge_settings.get("base_url"):
-            raise UsageError(f"mode {mode!r} requires an LLM critic endpoint")
-        judge = LLMJudge(_endpoint_from(judge_settings, default_temperature=0.0)).judge
+            raise ValueError(f"mode {mode!r} requires an LLM critic endpoint")
+        judge = LLMJudge(_endpoint_from(judge_settings)).judge
 
     def critic_factory(task):
         if not names:
@@ -167,7 +163,7 @@ def _cmd_theory(args) -> int:
         try:
             print(f"{theory.limit_prob(args.p, args.q, args.s):.12g}")
         except ZeroDivisionError as exc:
-            raise UsageError(str(exc)) from exc
+            raise ValueError(str(exc)) from exc
         return EXIT_OK
     grid = theory.contour_grid(p=args.p, z=args.z, resolution=args.resolution)
     if args.out == "-":
@@ -199,13 +195,13 @@ def _cmd_simulate(args) -> int:
 def _load_run_config(args) -> RunConfig:
     """Merge the JSON config and the flags; check the settings every mode shares."""
     config = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         payload = read_json(args.config)
         if not isinstance(payload, dict):
-            raise UsageError(f"config {args.config} must hold a JSON object")
+            raise ValueError(f"config {args.config} must hold a JSON object")
         for key, value in payload.items():
             if key not in _RUN_KEYS:
-                raise UsageError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             setattr(config, key, value)
     for name in _RUN_KEYS:
         value = getattr(args, name, None)
@@ -214,20 +210,20 @@ def _load_run_config(args) -> RunConfig:
     for role in ("actor", "critic"):
         settings = getattr(config, role)
         if not isinstance(settings, dict):
-            raise UsageError(f"{role} settings must be a JSON object, got {settings!r}")
+            raise ValueError(f"{role} settings must be a JSON object, got {settings!r}")
         for key in ("base_url", "model", "api_key_env"):
             value = getattr(args, f"{role}_{key}", None)
             if value is not None:
                 settings[key] = value
     for name in ("tasks", "tables", "db_dir", "out"):
         if not isinstance(getattr(config, name), str):
-            raise UsageError(f"{name} must be a string, got {getattr(config, name)!r}")
+            raise ValueError(f"{name} must be a string, got {getattr(config, name)!r}")
         if name != "out" and not getattr(config, name):
-            raise UsageError(f"missing required setting: {name}")
+            raise ValueError(f"missing required setting: {name}")
     theory.check_int(config.concurrency, "concurrency")
     seed = config.seed
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise UsageError(f"seed must be an integer, got {seed!r}")
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     # A deadline that has already passed would interrupt every statement.
     theory.check_number(config.exec_timeout, "exec-timeout", positive=True)
     return config
@@ -270,7 +266,7 @@ def _cmd_eval(args) -> int:
     if args.eval_cmd == "run":
         config = _load_run_config(args)
         if not config.out:
-            raise UsageError("missing required setting: out")
+            raise ValueError("missing required setting: out")
         n_tasks, summaries = _run_modes(config, {config.out: config.mode})
         summary = summaries[0]
         resumed = n_tasks - summary.written - len(summary.failed)
@@ -284,9 +280,9 @@ def _cmd_eval(args) -> int:
         config = _load_run_config(args)
         modes = [m.strip() for m in args.modes.split(",") if m.strip()]
         if not modes:
-            raise UsageError("--modes must name at least one mode")
+            raise ValueError("--modes must name at least one mode")
         if len(set(modes)) < len(modes):
-            raise UsageError(f"--modes names a mode more than once: {args.modes}")
+            raise ValueError(f"--modes names a mode more than once: {args.modes}")
         logs = {evalkit.ablation_log(args.out_dir, mode): mode for mode in modes}
         _, summaries = _run_modes(config, logs)
         name = Path(config.tasks).stem
@@ -373,31 +369,31 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file; flags override")
         sp.add_argument("--tasks")
         sp.add_argument("--tables")
-        sp.add_argument("--db-dir", dest="db_dir")
-        sp.add_argument("--max-iterations", dest="max_iterations", type=int)
+        sp.add_argument("--db-dir")
+        sp.add_argument("--max-iterations", type=int)
         sp.add_argument("--concurrency", type=int)
-        sp.add_argument("--exec-timeout", dest="exec_timeout", type=float)
+        sp.add_argument("--exec-timeout", type=float)
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--actor-base-url", dest="actor_base_url")
-        sp.add_argument("--actor-model", dest="actor_model")
-        sp.add_argument("--actor-api-key-env", dest="actor_api_key_env")
-        sp.add_argument("--critic-base-url", dest="critic_base_url")
-        sp.add_argument("--critic-model", dest="critic_model")
-        sp.add_argument("--critic-api-key-env", dest="critic_api_key_env")
+        sp.add_argument("--actor-base-url")
+        sp.add_argument("--actor-model")
+        sp.add_argument("--actor-api-key-env")
+        sp.add_argument("--critic-base-url")
+        sp.add_argument("--critic-model")
+        sp.add_argument("--critic-api-key-env")
     p_run.add_argument("--mode", choices=CRITIC_MODES)
     p_run.add_argument("--out")
     p_ablation.add_argument("--modes", default=",".join(CRITIC_MODES))
-    p_ablation.add_argument("--out-dir", dest="out_dir", required=True)
+    p_ablation.add_argument("--out-dir", required=True)
 
     p_report = eval_sub.add_parser("report", help="score a trace log")
     p_pqs = eval_sub.add_parser("estimate-pqs", help="estimate actor/critic rates")
     for sp in (p_report, p_pqs):
         sp.add_argument("--traces", required=True)
-        sp.add_argument("--db-dir", dest="db_dir", required=True)
-        sp.add_argument("--exec-timeout", dest="exec_timeout", type=float, default=30.0)
+        sp.add_argument("--db-dir", required=True)
+        sp.add_argument("--exec-timeout", type=float, default=30.0)
         sp.add_argument("--strict", action="store_true", help="abort on bad trace lines")
-    p_report.add_argument("--dataset-name", dest="dataset_name", default="")
-    p_report.add_argument("--baseline-ex", dest="baseline_ex", type=float)
+    p_report.add_argument("--dataset-name", default="")
+    p_report.add_argument("--baseline-ex", type=float)
     p_report.add_argument("--json", action="store_true")
     p_eval.set_defaults(handler=_cmd_eval)
 
@@ -409,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:  # UsageError included
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DatasetFormatError, TraceFormatError, OSError) as exc:

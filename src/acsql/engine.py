@@ -10,9 +10,10 @@ and at most z-1 critic consultations.
 
 Traces serialize to JSON Lines, one task per line, with stable field
 names so downstream scoring and parameter estimation can replay them.
-A trace stores only what it cannot derive; the reader checks each
-field's JSON type and refuses a log whose records differ in config or
-that holds a task_id twice.
+The derived fields final_sql, stopped_by and each iteration's index
+are written for readers and checked against the iterations when read;
+the reader also checks each field's JSON type and refuses a log whose
+records differ in config or that holds a task_id twice.
 """
 
 import json
@@ -61,8 +62,8 @@ class ACConfig:
 
     @property
     def budget(self) -> int:
-        """Most generations one run makes; "none" emits its first draft unreviewed."""
-        return 1 if self.critic_mode == "none" else self.max_iterations
+        """Most generations one run makes; a mode with no critic component emits its first draft."""
+        return self.max_iterations if CRITIC_MODES[self.critic_mode] else 1
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,10 @@ def run_ac_loop(
 
     After a reject no later critic component runs, so in mode "both" the
     LLM is not asked about SQL that failed to execute; an iteration
-    records the verdicts that ran. With critic_mode "none" exactly one
-    generation runs and is emitted unreviewed (the bare-actor baseline);
-    another mode with no component is a ValueError before the actor is
-    called. Actor exceptions become ActorError; critic transport
+    records the verdicts that ran. In a mode with no critic component
+    exactly one generation runs and is emitted unreviewed (the bare-actor
+    baseline); another mode given no component is a ValueError before the
+    actor is called. Actor exceptions become ActorError; critic transport
     problems are the critic's own concern (LLMJudge turns them into
     reject verdicts).
     """

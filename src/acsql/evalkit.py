@@ -35,6 +35,7 @@ trace per task it is handed. An ablation scores one log per mode
 """
 
 import itertools
+import math
 import os
 import re
 import sqlite3
@@ -96,9 +97,7 @@ def _cell_equal(a, b) -> bool:
     a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
     b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
     if a_num and b_num and (isinstance(a, float) or isinstance(b, float)):
-        if a == b:
-            return True
-        return abs(a - b) <= FLOAT_RTOL * max(abs(a), abs(b))
+        return math.isclose(a, b, rel_tol=FLOAT_RTOL)
     return type(a) is type(b) and a == b
 
 
@@ -490,7 +489,7 @@ def run_tasks(
         return run_ac_loop(actor_factory(task), critic_factory(task), task, config, ddl)
 
     with open(out_path, "a", encoding="utf-8") as out:
-        pool = ThreadPoolExecutor(max_workers=max(1, concurrency))
+        pool = ThreadPoolExecutor(max_workers=concurrency)
         try:
             futures = {pool.submit(run_one, task): task for task in tasks}
             for future in as_completed(futures):

@@ -32,7 +32,7 @@ bit-identical reports, independent of machine, thread count or process count.
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -73,17 +73,8 @@ class SimulationReport:
     config: SimulationConfig
 
     def to_json_dict(self) -> dict:
-        config = self.config
         return {
-            "params": {
-                "p": config.params.p,
-                "q": config.params.q,
-                "s": config.params.s,
-                "z": config.params.z,
-            },
-            "trials": config.trials,
-            "repeats": config.repeats,
-            "seed": config.seed,
+            **asdict(self.config),
             "estimated_accuracy": self.estimated_accuracy,
             "theory_prob": self.theory_prob,
             "abs_difference": self.abs_difference,

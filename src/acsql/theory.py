@@ -191,8 +191,6 @@ def classify_gain(q: float, s: float) -> GainRegion:
 class ContourGrid:
     """Expected-correctness values on a (q, s) lattice for fixed p and z."""
 
-    p: float
-    z: int
     q_values: np.ndarray  # 1-D
     s_values: np.ndarray  # 1-D
     prob: np.ndarray  # 2-D: prob[i][j] for (q_values[i], s_values[j])
@@ -217,7 +215,7 @@ def contour_grid(p: float, z: int, resolution: int) -> ContourGrid:
     check_int(resolution, "resolution", least=2)
     axis = np.arange(resolution) / (resolution - 1)
     prob = expected_prob(ACParams(p=p, q=axis[:, None], s=axis[None, :], z=z))
-    return ContourGrid(p=p, z=z, q_values=axis, s_values=axis, prob=prob)
+    return ContourGrid(q_values=axis, s_values=axis, prob=prob)
 
 
 def write_contour_csv(grid: ContourGrid, out: TextIO) -> int:

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -780,6 +781,21 @@ def _subparser(parser, *names):
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         parser = sub.choices[name]
     return parser
+
+
+@pytest.mark.parametrize("command", ["run", "ablation"])
+def test_every_run_flag_names_a_setting(command):
+    # _load_run_config reads flags by their dest, so one naming no setting would be dropped
+    settings = {f.name for f in fields(RunConfig)}
+    endpoint_keys = {f"{role}_{key}" for role in ("actor", "critic")
+                     for key in ("base_url", "model", "api_key_env")}
+    known = {"help", "config"} | settings | endpoint_keys
+    if command == "ablation":
+        known |= {"modes", "out_dir"}
+    dests = {action.dest for action in _subparser(build_parser(), "eval", command)._actions}
+    assert dests <= known
+    if command == "run":
+        assert settings - {"actor", "critic"} <= dests
 
 
 @pytest.mark.parametrize("mode", list(CRITIC_MODES))

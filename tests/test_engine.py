@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from acsql.agents import (
     CORRECT_SQL,
+    CRITIC_MODES,
     BernoulliActor,
     StochasticCritic,
     Verdict,
@@ -124,6 +125,11 @@ class TestRunAcLoop:
             ACConfig(max_iterations=True)
         with pytest.raises(ValueError):
             ACConfig(critic_mode=["both"])
+
+    @pytest.mark.parametrize("mode", CRITIC_MODES)
+    def test_budget_is_one_exactly_for_a_mode_without_components(self, mode):
+        budget = ACConfig(max_iterations=4, critic_mode=mode).budget
+        assert budget == (4 if CRITIC_MODES[mode] else 1)
 
     def test_stochastic_loop_tracks_closed_form(self, battle_ddl):
         p, q, s, z = 0.4, 0.3, 0.2, 4

@@ -112,6 +112,10 @@ SCORED_PAIRS = [
     ("SELECT x'00' UNION ALL SELECT 'a'", "SELECT 'a' UNION ALL SELECT x'00'", True),
     # a BLOB never equals text, even with the same bytes
     ("SELECT 'a'", "SELECT x'61'", False),
+    # REAL overflow gives ±inf, which equals only the same infinity
+    ("SELECT 1e999", "SELECT COUNT(*) FROM ship", False),
+    ("SELECT -1e999", "SELECT 1e999", False),
+    ("SELECT 9e308 * 10", "SELECT 1e999", True),
 ]
 
 
@@ -954,6 +958,19 @@ class TestRunTasks:
         )
         assert summary.written == 2
         assert [task_id for task_id, _ in summary.failed] == ["t00001"]
+
+    def test_worker_count_below_one_is_refused(self, spider_layout, tmp_path):
+        calls = []
+
+        def actor_factory(task):
+            calls.append(task.task_id)
+            return ScriptedActor([CORRECT])
+
+        out = tmp_path / "traces.jsonl"
+        with pytest.raises(ValueError):
+            run_tasks(_micro_tasks(), _parsed_schemas(), actor_factory, lambda t: (),
+                      ACConfig(critic_mode="none"), out, concurrency=0)
+        assert calls == [] and read_traces(out) == []
 
 
     def test_schema_ddl_once_per_database(self, spider_layout, tmp_path):
