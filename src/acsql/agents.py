@@ -14,11 +14,18 @@ StochasticCritic.judge are components, and the CLI wraps
 execution_critic in another. The CLI builds a mode's tuple in
 CRITIC_MODES order; engine.run_ac_loop runs it in that order and stops
 at the first reject.
+
+The CLI's LLM agents send their requests through a ReplyTable, one per
+task, which the modes of one CLI command share: a mode's n-th send of a
+request is answered from the table when an earlier mode of the task got
+an n-th reply to it, and goes out otherwise. Only successful replies are
+recorded, and at temperature > 0 the sharing pairs the modes.
 """
 
 import logging
 import random
 import re
+from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +75,9 @@ class Actor(Protocol):
 
 # One check of a critic: (candidate_sql, schema_ddl, question) -> Verdict.
 CriticComponent = Callable[[str, str, str], Verdict]
+
+# What an LLM agent sends a request with: llm_client.complete's signature.
+Send = Callable[[EndpointConfig, list[ChatMessage]], str]
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +170,53 @@ def execution_critic(candidate_sql: str, database: str | Path, timeout: float = 
     return Verdict(accepted=True, source="execution", detail="")
 
 
-class LLMJudge:
-    """LLM-backed critic component: asks for a bare True/False."""
+class ReplyTable:
+    """The successful replies to one task's chat requests, shared by the task's modes.
 
-    def __init__(self, endpoint: EndpointConfig):
+    A request is its EndpointConfig and its messages. A mode's n-th send of
+    a request gets the n-th reply that an earlier mode got to it; if there
+    is none, the request goes out and its reply is recorded. A failed
+    request raises and records nothing, so the next mode sends it again. A
+    mode is never served a reply it recorded itself, so within a mode every
+    request goes out and the trace is a draw from its own loop. Against an
+    endpoint whose reply is a function of the request nothing changes; at
+    temperature > 0 the modes become paired along their common prefix.
+
+    A task's modes run one after another, and a task in one thread at a
+    time, so no two threads use a table at once.
+    """
+
+    def __init__(self) -> None:
+        self._replies: dict[tuple, list[str]] = {}
+        self._sent: dict[str, Counter] = {}  # mode -> its sends of each request
+
+    def complete(self, mode: str, endpoint: EndpointConfig, messages: list[ChatMessage]) -> str:
+        """llm_client.complete for one mode of the task, served from the table where it can be."""
+        key = (endpoint, tuple(messages))
+        replies = self._replies.setdefault(key, [])
+        sent = self._sent.setdefault(mode, Counter())
+        n = sent[key]
+        if n == len(replies):
+            replies.append(complete(endpoint, messages))
+        sent[key] = n + 1
+        return replies[n]
+
+
+class LLMJudge:
+    """LLM-backed critic component: asks for a bare True/False.
+
+    send (default llm_client.complete) sends the request, as a ReplyTable's
+    complete bound to a mode does.
+    """
+
+    def __init__(self, endpoint: EndpointConfig, send: Send | None = None):
         self.endpoint = endpoint
+        self.send = send
 
     def judge(self, candidate_sql: str, schema_ddl: str, question: str) -> Verdict:
+        messages = build_critic_prompt(schema_ddl, question, candidate_sql)
         try:
-            reply = complete(self.endpoint, build_critic_prompt(schema_ddl, question, candidate_sql))
+            reply = (self.send or complete)(self.endpoint, messages)
         except TransportError as exc:
             # Unreachable critic must not let an unverified candidate out
             # early; a reject just costs one regeneration.
@@ -192,13 +240,17 @@ CRITIC_MODES: dict[str, tuple[str, ...]] = {
 
 
 class LLMActor:
-    """Actor backed by a chat endpoint; transport errors propagate."""
+    """Actor backed by a chat endpoint; transport errors propagate.
 
-    def __init__(self, endpoint: EndpointConfig):
+    send (default llm_client.complete) sends the request, as in LLMJudge.
+    """
+
+    def __init__(self, endpoint: EndpointConfig, send: Send | None = None):
         self.endpoint = endpoint
+        self.send = send
 
     def respond(self, messages: list[ChatMessage]) -> str:
-        return complete(self.endpoint, messages)
+        return (self.send or complete)(self.endpoint, messages)
 
 
 class BernoulliActor:

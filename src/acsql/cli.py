@@ -13,6 +13,13 @@ LLM_API_KEY); config files and flags never carry secrets. `eval run` and
 settings before the dataset is read, so a bad one exits 2 with no trace
 file or directory written, and checks every mode's trace log before the
 first mode runs. `eval ablation` scores the logs after every mode ran.
+Within one command the modes of a task share the successful replies to
+identical chat requests (agents.ReplyTable), which pairs the modes at
+temperature > 0. Nothing is kept between commands: a resumed ablation
+shares only among the modes that run in it, and separate `eval run`
+commands give independent samples. The actor samples at temperature 0.7
+and the critic at 0.0 unless their settings set one; a critic with no
+base_url takes the actor's settings, an explicit temperature included.
 NumPy loads only for `theory prob|contour`, `simulate` and `estimate-pqs`' predicted_prob.
 """
 
@@ -21,7 +28,9 @@ import hashlib
 import json
 import random
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from . import evalkit, theory
@@ -30,6 +39,7 @@ from .agents import (
     BernoulliActor,
     LLMActor,
     LLMJudge,
+    ReplyTable,
     StochasticCritic,
     execution_critic,
 )
@@ -104,9 +114,19 @@ def _stable_rng(seed: int, task_id: str, role: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _build_factories(config: RunConfig, mode: str):
-    """Check one mode and its agents' settings; return its ACConfig and per-task agent factories."""
+def _build_factories(config: RunConfig, mode: str, tables: dict[str, ReplyTable] | None = None):
+    """Check one mode and its agents' settings; return its ACConfig and per-task agent factories.
+
+    tables maps a task id to the ReplyTable that the task's LLM agents send
+    through, shared with the modes built on the same tables; by default
+    this mode shares with none.
+    """
     loop_config = ACConfig(max_iterations=config.max_iterations, critic_mode=mode)
+    tables = defaultdict(ReplyTable) if tables is None else tables
+
+    def send(task):
+        return partial(tables[task.task_id].complete, mode)
+
     actor_settings, actor_probs = _agent_settings(config, "actor")
     endpoint = None
     if actor_probs is None:
@@ -118,19 +138,19 @@ def _build_factories(config: RunConfig, mode: str):
 
     def actor_factory(task):
         if endpoint is not None:
-            return LLMActor(endpoint)
+            return LLMActor(endpoint, send(task))
         return BernoulliActor(*actor_probs, _stable_rng(config.seed, task.task_id, "actor"))
 
     critic_settings, critic_probs = _agent_settings(config, "critic")
     names = CRITIC_MODES[mode]
-    judge = None
+    judge_endpoint = None
     if critic_probs is None and "llm" in names:
         judge_settings = critic_settings
         if not critic_settings.get("base_url"):  # the actor's endpoint, the critic's own keys
             judge_settings = {**actor_settings, **critic_settings}
         if not judge_settings.get("base_url"):
             raise ValueError(f"mode {mode!r} requires an LLM critic endpoint")
-        judge = LLMJudge(_endpoint_from(judge_settings)).judge
+        judge_endpoint = _endpoint_from(judge_settings)
 
     def critic_factory(task):
         if not names:
@@ -143,7 +163,9 @@ def _build_factories(config: RunConfig, mode: str):
         def execution(candidate_sql, schema_ddl, question):
             return execution_critic(candidate_sql, database, config.exec_timeout)
 
-        components = {"execution": execution, "llm": judge}
+        components = {"execution": execution}
+        if judge_endpoint is not None:
+            components["llm"] = LLMJudge(judge_endpoint, send(task)).judge
         return tuple(components[name] for name in names)
 
     return loop_config, actor_factory, critic_factory
@@ -235,9 +257,12 @@ def _run_modes(config: RunConfig, logs: dict[str | Path, str]) -> tuple[int, lis
     logs maps each trace log to the mode that writes it. Every mode's settings
     and every log (evalkit.pending_tasks) are checked before the first mode
     runs, and a log's parent directory is made just before its mode runs.
-    Failed task ids go to stderr. Returns the dataset's size and the summaries.
+    The modes share one ReplyTable per task, made here and dropped on
+    return. Failed task ids go to stderr. Returns the dataset's size and
+    the summaries.
     """
-    runs = {out_path: _build_factories(config, mode) for out_path, mode in logs.items()}
+    tables: dict[str, ReplyTable] = defaultdict(ReplyTable)
+    runs = {out_path: _build_factories(config, mode, tables) for out_path, mode in logs.items()}
     dataset = load_dataset(config.tasks, config.tables, config.db_dir)
     if dataset.unloadable:
         print(dataset.load_report(), file=sys.stderr)

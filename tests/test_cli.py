@@ -4,15 +4,18 @@ import argparse
 import hashlib
 import json
 import os
+import re
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from acsql import evalkit, mc_sim
-from acsql.agents import CORRECT_SQL, CRITIC_MODES, build_critic_prompt
+from acsql.agents import CORRECT_SQL, CRITIC_MODES, WRONG_SQL, Verdict, build_critic_prompt
 from acsql.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, RunConfig, _build_factories, build_parser, main
 from acsql.engine import ACConfig, ACTrace, IterationRecord, TraceWarning, read_traces
+from acsql.llm_client import ChatMessage
 from acsql.mc_sim import SimulationConfig
 from acsql.spider_data import SpiderTask, database_path
 from acsql.theory import ACParams
@@ -835,3 +838,192 @@ def test_critic_mode_table_drives_cli(capsys, micro_dataset, mode):
     assert [r["body"]["messages"][-1]["content"] for r in server.requests] == (
         [prompt] * CRITIC_MODES[mode].count("llm")
     )
+
+
+# ---------------------------------------------------------------------------
+# The modes of one command share the replies to identical requests
+# ---------------------------------------------------------------------------
+
+
+def _is_first_draft(body):
+    return not _is_critic_request(body) and len(body["messages"]) == 1
+
+
+def _question(body):
+    """The micro_dataset question a request is about, such as "question 2?"."""
+    return re.search(r"question \d\?", body["messages"][0]["content"]).group(0)
+
+
+def _eval_against(capsys, micro_dataset, server, command, *argv):
+    """`acsql eval <command>` over micro_dataset, both LLM agents on server, no retries."""
+    config = {
+        "tasks": micro_dataset["tasks"],
+        "tables": micro_dataset["tables"],
+        "db_dir": micro_dataset["db_dir"],
+        "concurrency": 2,
+        "actor": {"base_url": server.base_url, "max_retries": 0},
+    }
+    path = micro_dataset["root"] / "llm.json"
+    path.write_text(json.dumps(config))
+    return run_cli(capsys, "eval", command, "--config", str(path), *argv)
+
+
+def test_ablation_sends_each_first_draft_request_once(capsys, micro_dataset):
+    server = StubLLMServer(
+        lambda body: "True" if _is_critic_request(body) else CORRECT_SQL
+    ).start()
+    out_dir = micro_dataset["root"] / "shared"
+    try:
+        code, _, err = _eval_against(capsys, micro_dataset, server, "ablation",
+                                     "--modes", "none,llm_only", "--out-dir", str(out_dir))
+    finally:
+        server.stop()
+    assert code == EXIT_OK, err
+    drafts = [_question(r["body"]) for r in server.requests if _is_first_draft(r["body"])]
+    assert sorted(drafts) == [f"question {i}?" for i in range(4)]
+    assert len(server.requests) == 8  # four first drafts, four critic requests
+    for mode in ("none", "llm_only"):
+        traces = read_traces(evalkit.ablation_log(out_dir, mode))
+        assert [t.final_sql for t in traces] == [CORRECT_SQL] * 4, mode
+
+
+def test_a_mode_sends_a_repeated_request_each_time(capsys, micro_dataset):
+    # The actor repeats its SQL and the critic always rejects it: llm_only
+    # sends one critic request at each of the 3 reviewed iterations, and
+    # "both" is then served those 3 replies in order, sending none.
+    server = StubLLMServer(
+        lambda body: "False" if _is_critic_request(body) else CORRECT_SQL
+    ).start()
+    out_dir = micro_dataset["root"] / "repeated"
+    try:
+        code, _, err = _eval_against(capsys, micro_dataset, server, "ablation",
+                                     "--modes", "llm_only,both", "--max-iterations", "4",
+                                     "--out-dir", str(out_dir))
+    finally:
+        server.stop()
+    assert code == EXIT_OK, err
+    critic = Counter(json.dumps(r["body"]) for r in server.requests
+                     if _is_critic_request(r["body"]))
+    assert sorted(critic.values()) == [3] * 4
+    actor = Counter(_question(r["body"]) for r in server.requests
+                    if not _is_critic_request(r["body"]))
+    assert actor == {f"question {i}?": 4 for i in range(4)}  # each dialogue once
+    for trace in read_traces(evalkit.ablation_log(out_dir, "both")):
+        verdicts = [[(v.source, v.accepted) for v in it.verdicts] for it in trace.iterations]
+        assert verdicts == [[("execution", True), ("llm", False)]] * 3 + [[]]
+
+
+@pytest.mark.parametrize("role, modes", [("actor", "none,llm_only"), ("critic", "llm_only,both")])
+def test_a_failed_request_is_sent_again_by_the_next_mode(capsys, micro_dataset, role, modes):
+    failing = _is_critic_request if role == "critic" else _is_first_draft
+    failed = set()
+
+    def handler(body):
+        request = json.dumps(body)
+        if failing(body) and request not in failed:
+            failed.add(request)
+            return 500, "overloaded"
+        return "True" if _is_critic_request(body) else CORRECT_SQL
+
+    server = StubLLMServer(handler).start()
+    out_dir = micro_dataset["root"] / "failed"
+    try:
+        code, _, err = _eval_against(capsys, micro_dataset, server, "ablation",
+                                     "--modes", modes, "--max-iterations", "2",
+                                     "--out-dir", str(out_dir))
+    finally:
+        server.stop()
+    sent = Counter(_question(r["body"]) for r in server.requests if failing(r["body"]))
+    assert sent == {f"question {i}?": 2 for i in range(4)}
+    first, second = modes.split(",")
+    second_traces = read_traces(evalkit.ablation_log(out_dir, second))
+    assert [t.final_sql for t in second_traces] == [CORRECT_SQL] * 4
+    if role == "actor":  # every first draft failed in "none", so it wrote no trace
+        assert code == 4
+        assert not read_traces(evalkit.ablation_log(out_dir, first))
+    else:
+        assert code == EXIT_OK, err
+        for trace in read_traces(evalkit.ablation_log(out_dir, first)):
+            assert trace.iterations[0].verdicts[0].detail.startswith("transport failure")
+        for trace in second_traces:
+            assert trace.iterations[0].verdicts[-1] == Verdict(True, "llm", "True")
+
+
+def test_ablations_in_one_process_share_no_replies(capsys, micro_dataset):
+    server = StubLLMServer(lambda body: CORRECT_SQL).start()
+    try:
+        for out_dir in ("first", "second"):
+            code, _, err = _eval_against(capsys, micro_dataset, server, "ablation",
+                                         "--modes", "none",
+                                         "--out-dir", str(micro_dataset["root"] / out_dir))
+            assert code == EXIT_OK, err
+    finally:
+        server.stop()
+    drafts = Counter(_question(r["body"]) for r in server.requests)
+    assert drafts == {f"question {i}?": 2 for i in range(4)}
+
+
+def _scripted_reply(body):
+    """A reply that is a function of the request, varying by task and turn."""
+    draw = hashlib.sha256(json.dumps(body["messages"]).encode()).digest()[0]
+    if _is_critic_request(body):
+        return "True" if draw % 2 else "False"
+    return [CORRECT_SQL, WRONG_SQL, "SELECT nope FROM battle"][draw % 3]
+
+
+def test_ablation_equals_separate_runs_against_a_deterministic_endpoint(capsys, micro_dataset):
+    modes = ["none", "llm_only", "both"]
+    root = micro_dataset["root"]
+    server = StubLLMServer(_scripted_reply).start()
+    try:
+        code, out, err = _eval_against(capsys, micro_dataset, server, "ablation",
+                                       "--modes", ",".join(modes), "--max-iterations", "3",
+                                       "--out-dir", str(root / "ablation"))
+        assert code == EXIT_OK, err
+        ablation_ex = {r["mode"]: r["ex"] for r in json.loads(out[out.index("\n[") + 1:])}
+        shared_requests = len(server.requests)
+        run_ex = {}
+        for mode in modes:
+            code, _, err = _eval_against(capsys, micro_dataset, server, "run", "--mode", mode,
+                                         "--max-iterations", "3",
+                                         "--out", str(root / f"{mode}.jsonl"))
+            assert code == EXIT_OK, err
+            code, out, _ = run_cli(capsys, "eval", "report", "--traces", str(root / f"{mode}.jsonl"),
+                                   "--db-dir", micro_dataset["db_dir"], "--json")
+            run_ex[mode] = json.loads(out)["ex"]
+    finally:
+        server.stop()
+    for mode in modes:
+        shared = evalkit.ablation_log(root / "ablation", mode).read_bytes()
+        alone = (root / f"{mode}.jsonl").read_bytes()
+        assert sorted(shared.splitlines()) == sorted(alone.splitlines()), mode
+    assert ablation_ex == run_ex
+    # the runs sent every request the ablation sent, and the ablation fewer
+    bodies = [json.dumps(r["body"], sort_keys=True) for r in server.requests]
+    assert set(bodies[:shared_requests]) == set(bodies[shared_requests:])
+    assert shared_requests < len(bodies) - shared_requests
+    assert any(len(t.iterations) > 1 for t in read_traces(root / "both.jsonl"))
+
+
+@pytest.mark.parametrize("actor, critic, expected", [
+    ({}, {}, (0.7, 0.0)),
+    ({}, {"temperature": 0.4}, (0.7, 0.4)),
+    # a critic with no base_url takes the actor's block under its own keys
+    ({"temperature": 0.2}, {}, (0.2, 0.2)),
+    ({"temperature": 0.2}, {"own_endpoint": True}, (0.2, 0.0)),
+])
+def test_each_role_samples_at_its_temperature(micro_dataset, actor, critic, expected):
+    server = StubLLMServer(lambda body: "True").start()
+    try:
+        if critic.pop("own_endpoint", False):
+            critic = {"base_url": server.base_url}
+        config = RunConfig(db_dir=micro_dataset["db_dir"],
+                           actor={"base_url": server.base_url, **actor}, critic=critic)
+        _, actor_factory, critic_factory = _build_factories(config, "llm_only")
+        task = SpiderTask("t00000", "battle_death", "q?", CORRECT_SQL)
+        actor_factory(task).respond([ChatMessage("user", "q?")])
+        (judge,) = critic_factory(task)
+        judge(CORRECT_SQL, "", "q?")
+    finally:
+        server.stop()
+    assert tuple(r["body"]["temperature"] for r in server.requests) == expected
