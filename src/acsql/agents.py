@@ -15,8 +15,9 @@ execution_critic in another. The CLI builds a mode's tuple in
 CRITIC_MODES order; engine.run_ac_loop runs it in that order and stops
 at the first reject.
 
-The CLI's LLM agents send their requests through a ReplyTable, one per
-task, which the modes of one CLI command share: a mode's n-th send of a
+LLMActor and LLMJudge send each request with the send they are given:
+llm_client.complete, or, from the CLI, the complete of a ReplyTable, one
+per task, which the modes of one CLI command share: a mode's n-th send of a
 request is answered from the table when an earlier mode of the task got
 an n-th reply to it, and goes out otherwise. Only successful replies are
 recorded, and at temperature > 0 the sharing pairs the modes.
@@ -205,18 +206,18 @@ class ReplyTable:
 class LLMJudge:
     """LLM-backed critic component: asks for a bare True/False.
 
-    send (default llm_client.complete) sends the request, as a ReplyTable's
-    complete bound to a mode does.
+    send sends the request: llm_client.complete, or a ReplyTable's
+    complete bound to a mode, as the CLI passes.
     """
 
-    def __init__(self, endpoint: EndpointConfig, send: Send | None = None):
+    def __init__(self, endpoint: EndpointConfig, send: Send):
         self.endpoint = endpoint
         self.send = send
 
     def judge(self, candidate_sql: str, schema_ddl: str, question: str) -> Verdict:
         messages = build_critic_prompt(schema_ddl, question, candidate_sql)
         try:
-            reply = (self.send or complete)(self.endpoint, messages)
+            reply = self.send(self.endpoint, messages)
         except TransportError as exc:
             # Unreachable critic must not let an unverified candidate out
             # early; a reject just costs one regeneration.
@@ -242,15 +243,15 @@ CRITIC_MODES: dict[str, tuple[str, ...]] = {
 class LLMActor:
     """Actor backed by a chat endpoint; transport errors propagate.
 
-    send (default llm_client.complete) sends the request, as in LLMJudge.
+    send sends the request, as in LLMJudge.
     """
 
-    def __init__(self, endpoint: EndpointConfig, send: Send | None = None):
+    def __init__(self, endpoint: EndpointConfig, send: Send):
         self.endpoint = endpoint
         self.send = send
 
     def respond(self, messages: list[ChatMessage]) -> str:
-        return (self.send or complete)(self.endpoint, messages)
+        return self.send(self.endpoint, messages)
 
 
 class BernoulliActor:

@@ -114,15 +114,13 @@ def _stable_rng(seed: int, task_id: str, role: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _build_factories(config: RunConfig, mode: str, tables: dict[str, ReplyTable] | None = None):
+def _build_factories(config: RunConfig, mode: str, tables: dict[str, ReplyTable]):
     """Check one mode and its agents' settings; return its ACConfig and per-task agent factories.
 
     tables maps a task id to the ReplyTable that the task's LLM agents send
-    through, shared with the modes built on the same tables; by default
-    this mode shares with none.
+    through, shared with the modes built on the same tables.
     """
     loop_config = ACConfig(max_iterations=config.max_iterations, critic_mode=mode)
-    tables = defaultdict(ReplyTable) if tables is None else tables
 
     def send(task):
         return partial(tables[task.task_id].complete, mode)

@@ -2,9 +2,9 @@
 
 A prediction scores correct when its result set matches the gold SQL's
 result set on the task database: compared as multisets unless the gold
-query orders its output at the top level, in which case row order
-matters. Text, integers and NULLs must match exactly; floating values
-match within 1e-6 relative tolerance.
+has an ORDER BY outside quotes, parentheses and comments, in which
+case row order matters. Text, integers and NULLs must match exactly;
+floating values match within 1e-6 relative tolerance.
 
 All candidate and gold SQL runs through `sqlexec.statement`. A gold
 runs to its end; a prediction is stepped only until its verdict is
@@ -34,6 +34,7 @@ trace per task it is handed. An ablation scores one log per mode
 (ablation_log) and with_baseline makes the "none" row's EX the baseline.
 """
 
+import io
 import itertools
 import math
 import os
@@ -63,32 +64,18 @@ class GoldExecutionError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _mask_quoted_and_nested(sql: str) -> str:
-    """Blank out quoted literals and parenthesized regions, keeping offsets."""
-    out = []
-    depth = 0
-    quote: str | None = None
-    for ch in sql:
-        if quote is not None:
-            out.append(" ")
-            if ch == quote:
-                quote = None
-        elif ch in ("'", '"'):
-            out.append(" ")
-            quote = ch
-        elif ch == "(":
-            depth += 1
-            out.append(" ")
-        elif ch == ")":
-            depth = max(0, depth - 1)
-            out.append(" ")
-        else:
-            out.append(ch if depth == 0 else " ")
-    return "".join(out)
+# A quoted literal or a comment; one left open runs to the end of the text.
+_LITERAL_OR_COMMENT = re.compile(r"""'[^']*'?|"[^"]*"?|--[^\n]*|/\*.*?(?:\*/|\Z)""", re.DOTALL)
+_INNERMOST_PARENS = re.compile(r"\([^()]*\)")
 
 
 def has_top_level_order_by(sql: str) -> bool:
-    return re.search(r"\border\s+by\b", _mask_quoted_and_nested(sql), re.IGNORECASE) is not None
+    """Whether ORDER BY appears outside quotes, parentheses and comments."""
+    text = _LITERAL_OR_COMMENT.sub(" ", sql)
+    while _INNERMOST_PARENS.search(text):
+        text = _INNERMOST_PARENS.sub(" ", text)
+    text = text.partition("(")[0].replace(")", " ")  # an unclosed ( runs to the end
+    return re.search(r"\border\s+by\b", text, re.IGNORECASE) is not None
 
 
 def _cell_equal(a, b) -> bool:
@@ -423,33 +410,25 @@ def pending_tasks(
 ) -> list[SpiderTask]:
     """The resume check: the tasks not yet traced in out_path, in input order.
 
-    The log is read once, forward. A trace in out_path with another
+    The log is read once. A trace in out_path with another
     config, or with another task under one of these task ids, raises
     ValueError, and a log that read_traces(strict=True) refuses, a bad
     complete line included, raises TraceFormatError; either way out_path
     is not written. (A bad line kept would stay in the log for good,
     beside its task's rerun.) A last line that a crash cut short (it
-    lacks its newline) is not read: once the checks pass one truncate
-    cuts it off, so its task runs again and the next trace starts on a
-    fresh line; a log that ends in a newline is not written. A missing
-    out_path has no traces.
+    lacks its newline) is not read: once the checks pass the log is cut
+    at its last newline, so its task runs again and the next trace starts
+    on a fresh line; a log that ends in a newline is not written. A
+    missing out_path has no traces.
     """
     out_path = Path(out_path)
     if not out_path.exists():
         return list(tasks)
-    partial = 0  # bytes after the last newline; only the last line can lack one
-
-    def complete(lines: Iterable[bytes]) -> Iterable[bytes]:
-        nonlocal partial
-        for line in lines:
-            if line.endswith(b"\n"):
-                yield line
-            else:
-                partial = len(line)
-
     with open(out_path, "rb") as f:
-        traces = read_trace_lines(complete(f), out_path, strict=True)
-        size = f.tell()
+        data = f.read()
+    size = data.rfind(b"\n") + 1  # only the last line can lack its newline
+    # lines keep their newline, as read_traces reads them, so an error names the same position
+    traces = read_trace_lines(io.BytesIO(data[:size]), out_path, strict=True)
     if traces and traces[0].config != config:  # read_trace_lines allows one config per log
         first = traces[0]
         raise ValueError(f"{out_path} holds task {first.task.task_id!r} run with {first.config}, "
@@ -462,8 +441,8 @@ def pending_tasks(
             raise ValueError(f"{out_path} holds task {task_id!r} with another db_id, "
                              "question or gold than the tasks file; start a new log")
         done.add(task_id)
-    if partial:
-        os.truncate(out_path, size - partial)
+    if size < len(data):
+        os.truncate(out_path, size)
     return [task for task in tasks if task.task_id not in done]
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: a small three-table benchmark database and its schema."""
 
 import json
+import os
 import sqlite3
 
 import pytest
@@ -102,7 +103,10 @@ def _parsed_schemas():
         with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as f:
             json.dump([BATTLE_TABLES_ENTRY], f)
             name = f.name
-        _SCHEMA_CACHE["index"] = parse_tables_json(name)
+        try:
+            _SCHEMA_CACHE["index"] = parse_tables_json(name)
+        finally:
+            os.unlink(name)
     return _SCHEMA_CACHE["index"]
 
 

@@ -26,7 +26,7 @@ from acsql.agents import (
     parse_verdict,
 )
 from acsql.engine import ACConfig, run_ac_loop
-from acsql.llm_client import EndpointConfig
+from acsql.llm_client import EndpointConfig, complete
 from acsql.spider_data import SpiderTask, database_path
 from acsql.sqlexec import DatabaseUnavailable, open_readonly, run_query
 from doubles import ScriptedActor, ScriptedCritic
@@ -376,7 +376,8 @@ class TestLLMJudge:
             monkeypatch.delenv(name, raising=False)
             monkeypatch.delenv(name.upper(), raising=False)
         judge = LLMJudge(
-            EndpointConfig(base_url="http://127.0.0.2:9/v1", model="m", max_retries=0, timeout=5.0)
+            EndpointConfig(base_url="http://127.0.0.2:9/v1", model="m", max_retries=0, timeout=5.0),
+            complete,
         )
         with caplog.at_level(logging.WARNING, logger="acsql.agents"):
             verdict = judge.judge("SELECT 1", "CREATE TABLE t(x)", "q?")

@@ -5,14 +5,16 @@ import hashlib
 import json
 import os
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from acsql import evalkit, mc_sim
-from acsql.agents import CORRECT_SQL, CRITIC_MODES, WRONG_SQL, Verdict, build_critic_prompt
+from acsql.agents import (
+    CORRECT_SQL, CRITIC_MODES, WRONG_SQL, ReplyTable, Verdict, build_critic_prompt,
+)
 from acsql.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, RunConfig, _build_factories, build_parser, main
 from acsql.engine import ACConfig, ACTrace, IterationRecord, TraceWarning, read_traces
 from acsql.llm_client import ChatMessage
@@ -821,7 +823,7 @@ def test_critic_mode_table_drives_cli(capsys, micro_dataset, mode):
     server = StubLLMServer(lambda body: "True").start()
     try:
         config = RunConfig(db_dir=micro_dataset["db_dir"], actor={"base_url": server.base_url})
-        _, _, critic_factory = _build_factories(config, mode)
+        _, _, critic_factory = _build_factories(config, mode, defaultdict(ReplyTable))
         critic = critic_factory(SpiderTask("t00000", "battle_death", "q?", CORRECT_SQL))
         if not CRITIC_MODES[mode]:
             assert critic == ()
@@ -1019,7 +1021,7 @@ def test_each_role_samples_at_its_temperature(micro_dataset, actor, critic, expe
             critic = {"base_url": server.base_url}
         config = RunConfig(db_dir=micro_dataset["db_dir"],
                            actor={"base_url": server.base_url, **actor}, critic=critic)
-        _, actor_factory, critic_factory = _build_factories(config, "llm_only")
+        _, actor_factory, critic_factory = _build_factories(config, "llm_only", defaultdict(ReplyTable))
         task = SpiderTask("t00000", "battle_death", "q?", CORRECT_SQL)
         actor_factory(task).respond([ChatMessage("user", "q?")])
         (judge,) = critic_factory(task)

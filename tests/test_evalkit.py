@@ -28,6 +28,7 @@ from acsql.engine import (
     ACConfig,
     ACTrace,
     IterationRecord,
+    TraceFormatError,
     TraceWarning,
     read_traces,
     run_ac_loop,
@@ -194,6 +195,18 @@ class TestOrderByDetection:
             ("SELECT * FROM (SELECT a FROM t ORDER BY a)", False),
             ("SELECT a FROM t WHERE note = 'order by'", False),
             ("SELECT a, (SELECT max(b) FROM u ORDER BY b) FROM t", False),
+            ("SELECT a FROM t -- ORDER BY a", False),
+            ("SELECT a FROM t -- don't\nORDER BY a", True),
+            ("SELECT a FROM t /* ORDER BY a */", False),
+            ("SELECT a FROM t /* it's */ ORDER BY a", True),
+            ("SELECT a FROM t /* ORDER BY a", False),
+            ("SELECT a FROM t WHERE b = '--' ORDER BY a", True),
+            ("SELECT a FROM (SELECT a FROM t ORDER BY a", False),
+            ("SELECT a) FROM t ORDER BY a", True),
+            ("SELECT a FROM t WHERE b = 'x ORDER BY a", False),
+            ("SELECT a FROM t WHERE b = 'it''s' ORDER BY a", True),
+            ("SELECT a FROM t WHERE b = '(' ORDER BY a", True),
+            ("SELECT a FROM t ORDER\nBY a", True),
         ],
     )
     def test_cases(self, sql, expected):
@@ -894,6 +907,17 @@ class TestRunTasks:
             with pytest.raises(ValueError):
                 pending_tasks(other_tasks, other_config, out)
             assert out.read_bytes() == logged and out.stat().st_mtime_ns == 10**18
+        # a raw \r is JSON whitespace, not a line end: the log is refused at
+        # its bad line 2, and the torn tail is not cut before the checks pass
+        first, *_, torn = logged.split(b"\n")
+        first = first.replace(b", ", b",\r ", 1)
+        assert b"\r" in first and torn
+        out.write_bytes(first + b"\n{broken\n" + torn)
+        os.utime(out, ns=(10**18, 10**18))
+        logged = out.read_bytes()
+        with pytest.raises(TraceFormatError, match=":2:"):
+            pending_tasks(tasks, config, out)
+        assert out.read_bytes() == logged and out.stat().st_mtime_ns == 10**18
 
     def test_resume_of_a_complete_log_writes_nothing(self, spider_layout, tmp_path, monkeypatch):
         tasks = _micro_tasks()
