@@ -2,15 +2,19 @@
 
 A prediction scores correct when its result set matches the gold SQL's
 result set on the task database: compared as multisets unless the gold
-has an ORDER BY outside quotes, parentheses and comments, in which
-case row order matters. Text, integers and NULLs must match exactly;
-floating values match within 1e-6 relative tolerance.
+has an ORDER BY outside quotes, bracketed or backticked identifiers,
+parentheses and comments, in which case row order matters. Text,
+integers and NULLs must match exactly; floating values match within
+1e-6 relative tolerance.
 
 All candidate and gold SQL runs through `sqlexec.statement`. A gold
 runs to its end; a prediction is stepped only until its verdict is
-decided. A column count other than the gold's, or one row past the
-gold's row count, already scores it wrong, and an error in a later row
-could only score it wrong too, so neither is stepped further.
+decided. Its column count is read before any row, when the prediction
+is prepared wrapped as `SELECT * FROM (<prediction>) LIMIT 0`: a count
+other than the gold's scores it wrong and it is not run. A wrapped form
+that does not prepare decides nothing, and the prediction runs. One row
+past the gold's row count also scores it wrong, and an error in a later
+row could only score it wrong too, so it is not stepped further.
 
 evaluate_run and estimate_pqs share one scoring loop and each score
 their traces in one pass: the traces are grouped by db_id and each
@@ -64,13 +68,16 @@ class GoldExecutionError(Exception):
 # ---------------------------------------------------------------------------
 
 
-# A quoted literal or a comment; one left open runs to the end of the text.
-_LITERAL_OR_COMMENT = re.compile(r"""'[^']*'?|"[^"]*"?|--[^\n]*|/\*.*?(?:\*/|\Z)""", re.DOTALL)
+# A quoted literal, a bracketed or backticked identifier, or a comment;
+# one left open runs to the end of the text.
+_LITERAL_OR_COMMENT = re.compile(
+    r"""'[^']*'?|"[^"]*"?|\[[^\]]*\]?|`[^`]*`?|--[^\n]*|/\*.*?(?:\*/|\Z)""", re.DOTALL
+)
 _INNERMOST_PARENS = re.compile(r"\([^()]*\)")
 
 
 def has_top_level_order_by(sql: str) -> bool:
-    """Whether ORDER BY appears outside quotes, parentheses and comments."""
+    """Whether ORDER BY appears outside quotes, identifiers, parentheses and comments."""
     text = _LITERAL_OR_COMMENT.sub(" ", sql)
     while _INNERMOST_PARENS.search(text):
         text = _INNERMOST_PARENS.sub(" ", text)
@@ -127,6 +134,22 @@ def _run_gold(conn: sqlite3.Connection, gold_sql: str, timeout: float) -> _Gold:
     return _Gold(rows, columns, has_top_level_order_by(gold_sql))
 
 
+def _prepared_columns(conn: sqlite3.Connection, sql: str, timeout: float) -> int | None:
+    """The column count of sql, read without stepping it; None when its
+    wrapped form does not prepare (not a single query, say).
+
+    LIMIT 0 ends the wrapper before its first row, and a query that runs
+    has the columns of its wrapped form. One trailing `;` is dropped, as
+    an actor's reply often ends with one.
+    """
+    query = sql.rstrip().removesuffix(";")
+    try:
+        with statement(conn, f"SELECT * FROM (\n{query}\n) LIMIT 0", timeout) as cursor:
+            return len(cursor.description)
+    except QueryFailure:
+        return None
+
+
 def _prediction_matches(
     conn: sqlite3.Connection,
     predicted_sql: str,
@@ -137,9 +160,14 @@ def _prediction_matches(
     """Score one prediction, stepping it only until its verdict is decided.
 
     A prediction whose text is its gold's, which already ran, is not run.
+    Its column count is read when its wrapped form is prepared, before
+    any row: one other than the gold's scores it wrong unrun. A wrapped
+    form that does not prepare decides nothing.
     """
     if predicted_sql == gold_sql:
         return True
+    if _prepared_columns(conn, predicted_sql, timeout) not in (None, gold.columns):
+        return False
     try:
         with statement(conn, predicted_sql, timeout) as cursor:
             if len(cursor.description) != gold.columns:

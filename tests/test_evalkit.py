@@ -15,6 +15,8 @@ from contextlib import closing
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acsql.agents import (
     CORRECT_SQL,
@@ -207,6 +209,12 @@ class TestOrderByDetection:
             ("SELECT a FROM t WHERE b = 'it''s' ORDER BY a", True),
             ("SELECT a FROM t WHERE b = '(' ORDER BY a", True),
             ("SELECT a FROM t ORDER\nBY a", True),
+            ("SELECT 1 AS [order by]", False),
+            ("SELECT 1 AS `order by`", False),
+            ("SELECT [a(] FROM t ORDER BY 1", True),
+            ("SELECT `a``b` FROM t ORDER BY 1", True),
+            ("SELECT a FROM t WHERE b = '[' ORDER BY a", True),
+            ('SELECT a FROM t WHERE b = "[" ORDER BY a', True),
         ],
     )
     def test_cases(self, sql, expected):
@@ -726,6 +734,13 @@ class TestStepsOnlyToTheVerdict:
         "two statements": ("SELECT 1; SELECT 1", "SELECT 1"),
         "temp table": ("CREATE TEMP TABLE death AS SELECT 1 AS killed", GOLD),
         "write": ("DELETE FROM death", GOLD),
+        "wrong columns, semicolon": ("SELECT killed, injured FROM death;", GOLD),
+        "right columns, semicolon": ("SELECT killed FROM death ;\n", GOLD),
+        "trailing line comment": ("SELECT killed FROM death -- all of them", GOLD),
+        "comment left open": ("SELECT killed FROM death /* all of them", GOLD),
+        "explain": ("EXPLAIN SELECT 1", "SELECT 1"),
+        "prepares only when wrapped": ("SELECT a FROM (SELECT 1 a) t) , (SELECT 2 b", "SELECT 1, 2"),
+        "the gold's columns, overflows": ("SELECT abs(-9223372036854775807 - 1)", "SELECT 2"),
     }
     # Each gold runs on the handle before a target's candidate is scored.
     PRIMED = (
@@ -763,6 +778,38 @@ class TestStepsOnlyToTheVerdict:
             verdicts = {_full_run_verdict(conn, *pair) for pair in self.CASES.values()}
         assert verdicts == {True, False}
 
+    # Fragments that open or close quotes, identifiers, parentheses,
+    # comments and statements, so that some candidates prepare only
+    # alone, some only wrapped, and some both ways.
+    WITHS = ("", "WITH w(k) AS (VALUES (12), (3)) ", "WITH w AS (SELECT killed AS k FROM death) ")
+    HEADS = (
+        "SELECT killed FROM death", "SELECT killed, injured FROM death", "SELECT * FROM death",
+        "SELECT [killed] FROM death", "SELECT `note`, 1 FROM death", "SELECT 'a;b' FROM death",
+        'SELECT "killed" FROM death', "SELECT * FROM (SELECT killed FROM death", "SELECT k FROM w",
+        "SELECT * FROM w", "VALUES (12), (7)", "EXPLAIN SELECT 1",
+    )
+    CLAUSES = (
+        " WHERE killed > 5", " UNION ALL SELECT 3", " UNION ALL VALUES (3, 4)", " ORDER BY 1", " LIMIT 2",
+    )
+    ENDS = (
+        "", ";", " ;\n", " -- c", " /* c", " */", ")", "'", "]", "`", "; SELECT 1", ") , (SELECT 2 b",
+    )
+    GOLDS = (GOLD, ORDERED_GOLD, "SELECT killed, injured FROM death", "SELECT 12 UNION ALL SELECT 7")
+
+    @given(
+        with_=st.sampled_from(WITHS),
+        head=st.sampled_from(HEADS),
+        clauses=st.lists(st.sampled_from(CLAUSES), max_size=2),
+        end=st.sampled_from(ENDS),
+        gold=st.sampled_from(GOLDS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fragment_candidates_score_as_a_full_run(self, battle_db, with_, head, clauses, end, gold):
+        candidate = with_ + head + "".join(clauses) + end
+        with closing(open_readonly(battle_db)) as conn:
+            expected = _full_run_verdict(conn, candidate, gold)
+        assert execution_accuracy(candidate, gold, battle_db) is expected
+
     def test_a_decided_prediction_is_not_stepped_further(self, spider_layout, monkeypatch):
         ticks = []
         real_open = evalkit.open_readonly
@@ -778,7 +825,14 @@ class TestStepsOnlyToTheVerdict:
         gold = "SELECT 2"
         wrong_columns = _counting(100_000, "tick(x), x")
         too_many_rows = _counting(100_000, "tick(x)")
-        for candidate in (wrong_columns, too_many_rows):
+        # a wrong column count is read when the candidate is prepared, before any row
+        steps = {
+            wrong_columns: range(0, 1),
+            wrong_columns + ";": range(0, 1),
+            wrong_columns + " -- two columns": range(0, 1),
+            too_many_rows: range(1, 10),
+        }
+        for candidate, allowed in steps.items():
             traces = [_trace("t1", [candidate], [True], gold, 2)]
             for score in (
                 lambda: evaluate_run(traces, db_dir).ex,
@@ -787,7 +841,7 @@ class TestStepsOnlyToTheVerdict:
             ):
                 ticks.clear()
                 assert score() == 0
-                assert 0 < len(ticks) < 10
+                assert len(ticks) in allowed
 
 
 INVALID_SQL = "SELECT x FROM"
