@@ -21,6 +21,9 @@ per task, which the modes of one CLI command share: a mode's n-th send of a
 request is answered from the table when an earlier mode of the task got
 an n-th reply to it, and goes out otherwise. Only successful replies are
 recorded, and at temperature > 0 the sharing pairs the modes.
+
+extract_sql cuts the SQL out of an actor reply with sqlexec's lexer
+(COMMENT, NOT_CODE), the one that scoring reads ORDER BY with.
 """
 
 import logging
@@ -33,7 +36,7 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from .llm_client import ChatMessage, EndpointConfig, TransportError, complete
-from .sqlexec import QueryFailure, open_readonly, run_query
+from .sqlexec import COMMENT, NOT_CODE, QueryFailure, open_readonly, run_query
 from .theory import check_prob
 
 logger = logging.getLogger(__name__)
@@ -105,32 +108,33 @@ def build_critic_prompt(schema_ddl: str, question: str, candidate_sql: str) -> l
 
 _FENCED_BLOCK = re.compile(r"```[a-zA-Z0-9_+-]*\n?(.*?)```", re.DOTALL)
 _SQL_KEYWORD = re.compile(r"\b(select|with|insert|update|delete|create)\b", re.IGNORECASE)
-# Text up to and including the first semicolon outside '...' and "...".
-# Unrolled: each repeat of the group starts at a quote, so the text splits
-# one way only and a reply with no such semicolon fails in linear time.
-_THROUGH_UNQUOTED_SEMICOLON = re.compile(r"""[^'";]*(?:(?:'[^']*'|"[^"]*")[^'";]*)*;""")
 
 
 def extract_sql(actor_raw_output: str) -> str:
     """Pull the SQL statement out of a possibly chatty actor reply.
 
     Unwraps a fenced code block if present, then returns the text from
-    the first SQL keyword through the first unquoted semicolon (or end
-    of text). Falls back to the trimmed input when no keyword is found;
-    never raises.
+    the first SQL keyword outside comments through the first semicolon
+    outside literals, identifiers and comments (or end of text). Quotes
+    are read only from the keyword on, so an apostrophe in the prose
+    before it opens no literal. Falls back to the trimmed input when no
+    keyword is found; never raises.
     """
     text = actor_raw_output.strip()
     fenced = _FENCED_BLOCK.search(text)
     if fenced:
         text = fenced.group(1).strip()
-    match = _SQL_KEYWORD.search(text)
+    match = _SQL_KEYWORD.search(COMMENT.sub(_as_spaces, text))
     if not match:
         return text
-    start = match.start()
-    statement = _THROUGH_UNQUOTED_SEMICOLON.match(text, start)
-    if statement is None:
-        return text[start:].strip()
-    return text[start : statement.end()].strip()
+    sql = text[match.start() :]
+    end = NOT_CODE.sub(_as_spaces, sql).find(";")
+    return (sql if end < 0 else sql[: end + 1]).strip()
+
+
+def _as_spaces(span: re.Match) -> str:
+    """As many spaces as span is long, so blanked text keeps its offsets."""
+    return " " * len(span.group())
 
 
 def parse_verdict(llm_reply: str) -> bool:

@@ -3,18 +3,23 @@
 A prediction scores correct when its result set matches the gold SQL's
 result set on the task database: compared as multisets unless the gold
 has an ORDER BY outside quotes, bracketed or backticked identifiers,
-parentheses and comments, in which case row order matters. Text,
-integers and NULLs must match exactly; floating values match within
-1e-6 relative tolerance.
+parentheses and comments (sqlexec.NOT_CODE), in which case row order
+matters. Text, integers and NULLs must match exactly; floating values
+match within 1e-6 relative tolerance. Unordered rows are paired by
+sorting each side on its non-numeric cells first and its numbers last,
+so rows whose numbers differ within the tolerance still pair. A row of
+two or more numbers can still miss a pairing that exists when some of
+its numbers differ within the tolerance.
 
 All candidate and gold SQL runs through `sqlexec.statement`. A gold
 runs to its end; a prediction is stepped only until its verdict is
 decided. Its column count is read before any row, when the prediction
 is prepared wrapped as `SELECT * FROM (<prediction>) LIMIT 0`: a count
 other than the gold's scores it wrong and it is not run. A wrapped form
-that does not prepare decides nothing, and the prediction runs. One row
-past the gold's row count also scores it wrong, and an error in a later
-row could only score it wrong too, so it is not stepped further.
+that does not prepare decides nothing, and the prediction runs; the
+probe and the run share one timeout. One row past the gold's row count
+also scores it wrong, and an error in a later row could only score it
+wrong too, so it is not stepped further.
 
 evaluate_run and estimate_pqs share one scoring loop and each score
 their traces in one pass: the traces are grouped by db_id and each
@@ -44,6 +49,7 @@ import math
 import os
 import re
 import sqlite3
+import time
 from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
@@ -54,7 +60,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .agents import Actor, CriticComponent
 from .engine import ACConfig, ACTrace, ActorError, read_trace_lines, run_ac_loop, write_trace
 from .spider_data import SpiderTask, SchemaIndex, database_path, schema_to_ddl
-from .sqlexec import DatabaseUnavailable, QueryFailure, open_readonly, run_query, statement
+from .sqlexec import NOT_CODE, DatabaseUnavailable, QueryFailure, open_readonly, run_query, statement
 
 FLOAT_RTOL = 1e-6
 
@@ -68,17 +74,12 @@ class GoldExecutionError(Exception):
 # ---------------------------------------------------------------------------
 
 
-# A quoted literal, a bracketed or backticked identifier, or a comment;
-# one left open runs to the end of the text.
-_LITERAL_OR_COMMENT = re.compile(
-    r"""'[^']*'?|"[^"]*"?|\[[^\]]*\]?|`[^`]*`?|--[^\n]*|/\*.*?(?:\*/|\Z)""", re.DOTALL
-)
 _INNERMOST_PARENS = re.compile(r"\([^()]*\)")
 
 
 def has_top_level_order_by(sql: str) -> bool:
     """Whether ORDER BY appears outside quotes, identifiers, parentheses and comments."""
-    text = _LITERAL_OR_COMMENT.sub(" ", sql)
+    text = NOT_CODE.sub(" ", sql)
     while _INNERMOST_PARENS.search(text):
         text = _INNERMOST_PARENS.sub(" ", text)
     text = text.partition("(")[0].replace(")", " ")  # an unclosed ( runs to the end
@@ -96,17 +97,20 @@ def _cell_equal(a, b) -> bool:
 
 
 def _sort_key(row: Sequence) -> tuple:
-    key = []
+    """The row's cells with each number masked, then its numbers: numbers
+    equal within the tolerance can sort either way, so they go last."""
+    cells, numbers = [], []
     for cell in row:
         if cell is None:
-            key.append((0, ""))
+            cells.append((0, ""))
         elif isinstance(cell, (int, float)) and not isinstance(cell, bool):
-            key.append((1, float(cell)))
+            cells.append((1, 0.0))
+            numbers.append(float(cell))
         elif isinstance(cell, bytes):
-            key.append((2, cell.hex()))
+            cells.append((2, cell.hex()))
         else:
-            key.append((3, str(cell)))
-    return tuple(key)
+            cells.append((3, str(cell)))
+    return tuple(cells), tuple(numbers)
 
 
 def result_sets_match(
@@ -162,14 +166,16 @@ def _prediction_matches(
     A prediction whose text is its gold's, which already ran, is not run.
     Its column count is read when its wrapped form is prepared, before
     any row: one other than the gold's scores it wrong unrun. A wrapped
-    form that does not prepare decides nothing.
+    form that does not prepare decides nothing. The probe and the run
+    share one deadline: the run gets what the probe left of timeout.
     """
     if predicted_sql == gold_sql:
         return True
+    deadline = time.monotonic() + timeout
     if _prepared_columns(conn, predicted_sql, timeout) not in (None, gold.columns):
         return False
     try:
-        with statement(conn, predicted_sql, timeout) as cursor:
+        with statement(conn, predicted_sql, deadline - time.monotonic()) as cursor:
             if len(cursor.description) != gold.columns:
                 return False
             # one row past the gold's count already makes the prediction wrong

@@ -11,14 +11,24 @@ connection: CREATE TEMP TABLE/VIEW, ATTACH and PRAGMA. So one handle is
 safe to reuse across untrusted statements; none can change what a later
 one sees. A progress handler interrupts statements that outlive the
 timeout, and the handle stays usable after an interrupt.
+
+COMMENT and NOT_CODE are the package's one SQL lexer: the spans of text
+that are comments, and those that are not code at all (comments, quoted
+literals, bracketed or backticked identifiers).
 """
 
 import itertools
+import re
 import sqlite3
 import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
+
+
+# A span left open runs to the end of the text.
+COMMENT = re.compile(r"--[^\n]*|/\*.*?(?:\*/|\Z)", re.DOTALL)
+NOT_CODE = re.compile(r"""'[^']*'?|"[^"]*"?|\[[^\]]*\]?|`[^`]*`?|""" + COMMENT.pattern, re.DOTALL)
 
 
 class DatabaseUnavailable(Exception):

@@ -7,7 +7,7 @@ import sqlite3
 from contextlib import closing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acsql import agents
@@ -142,28 +142,61 @@ class TestExtractSql:
         out = extract_sql(raw)
         assert isinstance(out, str)
 
-    @staticmethod
-    def _first_unquoted_semicolon(text, start):
-        """Reference scan: index of the first ; outside quotes, or -1."""
-        quote = None
-        for i in range(start, len(text)):
-            ch = text[i]
-            if quote is not None:
-                if ch == quote:
-                    quote = None
-            elif ch in ("'", '"'):
-                quote = ch
-            elif ch == ";":
-                return i
-        return -1
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [
+            # a ; that is not code does not end the statement
+            ("SELECT a FROM t -- x; y\nWHERE a > 1; ok", "SELECT a FROM t -- x; y\nWHERE a > 1;"),
+            ("SELECT a /* x; y */ FROM t; ok", "SELECT a /* x; y */ FROM t;"),
+            ("SELECT [a;b] FROM t; ok", "SELECT [a;b] FROM t;"),
+            ("SELECT `a;b` FROM t; ok", "SELECT `a;b` FROM t;"),
+            # a quote inside a comment opens no literal
+            ("SELECT a FROM t -- don't\nWHERE a > 1; that is it", "SELECT a FROM t -- don't\nWHERE a > 1;"),
+            # a keyword inside a leading comment does not start the statement
+            ("-- Select all singers\nSELECT * FROM singer;", "SELECT * FROM singer;"),
+            ("/* select rows */ SELECT 1;", "SELECT 1;"),
+            ("```sql\n-- Select all singers\nSELECT * FROM singer;\n```", "SELECT * FROM singer;"),
+            # quotes are read from the keyword on: prose apostrophes open nothing
+            ("Here's the query: SELECT a FROM t; Done.", "SELECT a FROM t;"),
+            # but comments are read from the start: a -- in quoted prose hides its line
+            ("Don't type '--' here: SELECT 1;\nSELECT 2;", "SELECT 2;"),
+        ],
+    )
+    def test_cut_reads_literals_identifiers_and_comments(self, raw, expected):
+        assert extract_sql(raw) == expected
 
-    @given(st.text(alphabet="ab;'\" \n", max_size=60), st.integers(0, 60))
+    @staticmethod
+    def _through_first_code_semicolon(text):
+        """Reference scan: text through its first ; outside literals,
+        identifiers and comments, or all of it."""
+        closer = None
+        i = 0
+        while i < len(text):
+            if closer is not None:
+                if text.startswith(closer, i):
+                    i += len(closer)
+                    closer = None
+                    continue
+            elif text[i] in "'\"`":
+                closer = text[i]
+            elif text[i] == "[":
+                closer = "]"
+            elif text.startswith("--", i):
+                closer = "\n"
+            elif text.startswith("/*", i):
+                closer = "*/"
+                i += 1  # the * of /* does not close it
+            elif text[i] == ";":
+                return text[: i + 1]
+            i += 1
+        return text
+
+    @given(st.text(alphabet="ab \n;'\"[]-/*`", max_size=60))
     @settings(max_examples=500)
-    def test_semicolon_pattern_matches_reference_scan(self, text, start):
-        start = min(start, len(text))
-        statement = agents._THROUGH_UNQUOTED_SEMICOLON.match(text, start)
-        got = -1 if statement is None else statement.end() - 1
-        assert got == self._first_unquoted_semicolon(text, start)
+    def test_cut_matches_reference_scan(self, text):
+        assume("```" not in text)  # a fence would be unwrapped first
+        sql = "SELECT " + text
+        assert extract_sql(sql) == self._through_first_code_semicolon(sql).strip()
 
 
 class TestParseVerdict:

@@ -119,6 +119,13 @@ SCORED_PAIRS = [
     ("SELECT 1e999", "SELECT COUNT(*) FROM ship", False),
     ("SELECT -1e999", "SELECT 1e999", False),
     ("SELECT 9e308 * 10", "SELECT 1e999", True),
+    # rows pair across numbers equal within the tolerance, whatever their exact order
+    (
+        "SELECT 1.0, 'a' UNION ALL SELECT 1.0000001, 'b'",
+        "SELECT 1.0, 'b' UNION ALL SELECT 1.0000001, 'a'",
+        True,
+    ),
+    ("SELECT 1, 'x' UNION ALL SELECT 'x', 1", "SELECT 'x', 1 UNION ALL SELECT 1, 'x'", True),
 ]
 
 
@@ -150,6 +157,17 @@ class TestExecutionAccuracy:
             "SELECT count(*) FROM c"
         )
         assert execution_accuracy(slow, "SELECT 1", battle_db, timeout=0.2) is False
+
+    def test_probe_and_run_share_one_deadline(self, battle_db):
+        # SQLite materializes a CTE named twice when the probe prepares it,
+        # so the probe alone runs until the timeout
+        runaway = (
+            "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c) "
+            "SELECT a.x FROM c a JOIN c b ON a.x = b.x"
+        )
+        started = time.monotonic()
+        assert execution_accuracy(runaway, "SELECT 2", battle_db, timeout=0.3) is False
+        assert time.monotonic() - started < 0.45
 
 
 def _counting(last: int, column: str = "x") -> str:
