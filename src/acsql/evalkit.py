@@ -26,9 +26,13 @@ their traces in one pass: the traces are grouped by db_id and each
 database is scored inside one block that holds its read-only connection,
 the result of each gold (None when the gold fails) and the verdict of
 each (gold, sql) pair. A candidate whose text is its own gold, which
-ran successfully, scores correct and is not run; for SQL without
-nondeterministic functions such as random() or date('now'), a query's
-result depends only on its text, so a run would give the same verdict.
+ran successfully, scores correct and is not run. So does one with the
+gold's column count whose EXPLAIN listing equals the gold's, when that
+listing has no Real or Blob instruction, whose literals EXPLAIN prints
+lossily; the gold's listing is read at most once per pass, when its
+first such candidate needs it. For SQL without nondeterministic
+functions such as random() or date('now'), a query's result depends
+only on the program it compiles to, so a run would give the same verdict.
 The databases are scored on a thread pool, up to min(databases, CPU
 count) at once, each on its own handle (sqlite3 releases the GIL while
 a statement steps). Each block closes its connection when it ends or
@@ -55,7 +59,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .agents import Actor, CriticComponent
 from .engine import ACConfig, ACTrace, ActorError, read_trace_lines, run_ac_loop, write_trace
@@ -127,10 +131,13 @@ def result_sets_match(
     )
 
 
-class _Gold(NamedTuple):
+@dataclass
+class _Gold:
     rows: list[tuple]
     columns: int
     ordered: bool  # the gold orders its output at the top level
+    # its EXPLAIN listing, read when a candidate first needs it; [] when it cannot be trusted
+    program: list[tuple] | None = None
 
 
 def _run_gold(conn: sqlite3.Connection, gold_sql: str, timeout: float) -> _Gold:
@@ -154,6 +161,54 @@ def _prepared_columns(conn: sqlite3.Connection, sql: str, timeout: float) -> int
         return None
 
 
+# EXPLAIN prints a Real's P4 to 16 digits and a Blob's as a C string
+_LOSSY_OPCODES = frozenset(("Real", "Blob"))
+
+
+def _trusted_program(conn: sqlite3.Connection, gold_sql: str, timeout: float) -> list[tuple]:
+    """The gold's EXPLAIN listing when an equal listing means an equal
+    result; [] when it does not.
+
+    Equal listings can hide different literals only where EXPLAIN prints
+    an instruction's P4 lossily. A Real is printed to 16 digits and a
+    Blob as a C string, which ends at its first NUL, so a listing with
+    either opcode is not trusted. Every other kind of P4 that SQLite's
+    displayP4 prints is lossless here:
+    - 32- and 64-bit integers and integer arrays are printed in full;
+    - a string (String8's literal, an affinity, a virtual table's
+      idxStr) is printed in full: SQL text holds no NUL;
+    - a function is printed as its name and declared argument count. A
+      variadic one prints -1, but each argument is written to its own
+      register by an instruction of its own, so the count shows anyway;
+    - a collation is its name cut to 18 characters, and a sort key its
+      field count, orders and collation names; a read-only handle knows
+      only BINARY, NOCASE and RTRIM;
+    - a column's default value is printed lossily, but it belongs to the
+      table and column that the instruction reads, which the listing names;
+    - a virtual table is the address of this handle's one instance of it;
+    - a table is its name, and a trigger program comes only with a
+      write, which the handle refuses;
+    - DYNBLOB prints nothing and holds no literal of the SQL text.
+    """
+    try:
+        with statement(conn, f"EXPLAIN {gold_sql}", timeout) as cursor:
+            program = cursor.fetchall()
+    except QueryFailure:  # e.g. the gold is itself an EXPLAIN
+        return []
+    return [] if any(row[1] in _LOSSY_OPCODES for row in program) else program
+
+
+def _compiles_to(conn: sqlite3.Connection, sql: str, program: list[tuple], timeout: float) -> bool:
+    """Whether the EXPLAIN listing of sql is program, read only up to its
+    first other row; False when `EXPLAIN <sql>` does not prepare (sql is
+    itself an EXPLAIN, holds two statements or does not parse)."""
+    try:
+        with statement(conn, f"EXPLAIN {sql}", timeout) as cursor:
+            return all(row == other for row, other in itertools.zip_longest(cursor, program))
+    except QueryFailure:
+        return False
+
+
 def _prediction_matches(
     conn: sqlite3.Connection,
     predicted_sql: str,
@@ -166,14 +221,25 @@ def _prediction_matches(
     A prediction whose text is its gold's, which already ran, is not run.
     Its column count is read when its wrapped form is prepared, before
     any row: one other than the gold's scores it wrong unrun. A wrapped
-    form that does not prepare decides nothing. The probe and the run
-    share one deadline: the run gets what the probe left of timeout.
+    form that does not prepare decides nothing. A prediction with the
+    gold's column count whose EXPLAIN listing equals the gold's trusted
+    one (_trusted_program) compiles to the same program, so it scores
+    correct unrun; the gold's listing is read once, when its first such
+    candidate needs it, and kept in gold.program, and the prediction's
+    only up to its first row that differs. An EXPLAIN that does not
+    prepare decides nothing. The probe, the EXPLAIN and the run share
+    one deadline: each gets what the steps before it left of timeout.
+    The gold's EXPLAIN, like its run, has a timeout of its own.
     """
     if predicted_sql == gold_sql:
         return True
     deadline = time.monotonic() + timeout
     if _prepared_columns(conn, predicted_sql, timeout) not in (None, gold.columns):
         return False
+    if gold.program is None:
+        gold.program = _trusted_program(conn, gold_sql, timeout)
+    if gold.program and _compiles_to(conn, predicted_sql, gold.program, deadline - time.monotonic()):
+        return True
     try:
         with statement(conn, predicted_sql, deadline - time.monotonic()) as cursor:
             if len(cursor.description) != gold.columns:

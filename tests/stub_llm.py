@@ -31,6 +31,10 @@ class StubLLMServer:
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
+            # headers and body go out in two sends; a keep-alive client would
+            # otherwise wait for its delayed ACK before the body
+            disable_nagle_algorithm = True
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 raw = self.rfile.read(length) if length else b"{}"

@@ -126,6 +126,13 @@ SCORED_PAIRS = [
         True,
     ),
     ("SELECT 1, 'x' UNION ALL SELECT 'x', 1", "SELECT 'x', 1 UNION ALL SELECT 1, 'x'", True),
+    # keyword case, whitespace and aliases, with or without AS, compile alike
+    ("select killed , injured from death", "SELECT killed, injured FROM death", True),
+    ("SELECT T1.name FROM ship T1", "SELECT name FROM ship", True),
+    ("SELECT T1.name FROM ship AS T1", "SELECT T1.name FROM ship T1", True),
+    # EXPLAIN prints each pair's literals alike, yet the results differ
+    ("SELECT 1 / (0.10000000000000002 - 0.1)", "SELECT 1 / (0.1 - 0.1)", False),
+    ("SELECT x'00AA'", "SELECT x'00BB'", False),
 ]
 
 
@@ -530,6 +537,74 @@ class TestScoringPass:
         # each gold's text ran once as its gold and once as another task's
         # candidate; as its own task's candidate it added no run
         assert (sql_runs[self.GOLD], sql_runs[other_gold]) == (2, 2)
+
+    def test_formatting_only_candidate_is_not_run(self, spider_layout, sql_runs):
+        formatted, aliased = "select killed  from death", "SELECT d.killed FROM death AS d"
+        traces = [
+            _trace("t1", ["SELECT 1", formatted], [False, True], self.GOLD, 3),
+            _trace("t2", [aliased], [True], self.GOLD, 3),
+        ]
+        db_dir = spider_layout["db_dir"]
+        sql_runs.clear()
+        report = evaluate_run(traces, db_dir)
+        assert (report.n_tasks, report.ex) == (2, 1.0)
+        counts = estimate_pqs(traces, db_dir).counts
+        assert (counts.first_pass_correct, counts.correct_checked, counts.wrong_checked) == (1, 2, 1)
+        # their listings equal the gold's, so neither text is stepped
+        assert (sql_runs[formatted], sql_runs[aliased]) == (0, 0)
+        assert sql_runs[f"EXPLAIN {formatted}"] == 2  # final in both passes
+        assert sql_runs["SELECT 1"] == 1  # another listing: it runs
+
+    def test_gold_listing_is_read_once_per_pass(self, spider_layout, sql_runs):
+        variants = [
+            "select killed from death",
+            "SELECT killed FROM death;",
+            "SELECT d.killed FROM death d",
+            "SELECT killed FROM death WHERE 0",
+            "SELECT injured FROM death",
+        ]
+        traces = [
+            _trace("t1", variants[:3], [False, False, True], self.GOLD, 3),
+            _trace("t2", variants[3:], [False, True], self.GOLD, 3),
+            _trace("t3", variants[::-1], [False, False, False, False, True], self.GOLD, 5),
+        ]
+        db_dir = spider_layout["db_dir"]
+        for score in (evaluate_run, estimate_pqs):
+            sql_runs.clear()
+            score(traces, db_dir)
+            assert sql_runs[f"EXPLAIN {self.GOLD}"] == 1
+
+    def test_gold_listing_is_not_read_unless_needed(self, spider_layout, sql_runs):
+        wider = "SELECT killed, injured FROM death"
+        traces = [
+            _trace("t1", [wider, self.GOLD], [False, True], self.GOLD, 3),
+            _trace("t2", ["SELECT 1, 2", self.GOLD], [False, True], self.GOLD, 3),
+        ]
+        db_dir = spider_layout["db_dir"]
+        sql_runs.clear()
+        assert evaluate_run(traces, db_dir).ex == 1.0
+        assert estimate_pqs(traces, db_dir).counts.wrong_checked == 2
+        assert not [sql for sql in sql_runs if sql.startswith("EXPLAIN")]
+
+    def test_listing_must_match_to_its_end(self, battle_db):
+        with closing(open_readonly(battle_db)) as conn:
+            program = evalkit._trusted_program(conn, self.GOLD, 5)
+            assert evalkit._compiles_to(conn, self.GOLD.lower(), program, 5)
+            for other in (program[:-1], program + program[-1:]):
+                assert not evalkit._compiles_to(conn, self.GOLD.lower(), other, 5)
+
+    def test_lossy_listing_candidate_is_run(self, spider_layout, sql_runs):
+        pairs = [
+            ("SELECT 1 / (0.10000000000000002 - 0.1)", "SELECT 1 / (0.1 - 0.1)"),
+            ("SELECT x'00AA'", "SELECT x'00BB'"),
+        ]
+        traces = [
+            _trace(f"t{i}", [candidate], [True], gold, 1) for i, (candidate, gold) in enumerate(pairs)
+        ]
+        sql_runs.clear()
+        report = evaluate_run(traces, spider_layout["db_dir"])
+        assert (report.n_tasks, report.ex) == (2, 0.0)
+        assert [sql_runs[candidate] for candidate, _ in pairs] == [1, 1]
 
     def test_connection_closed_when_scoring_raises(self, spider_layout, monkeypatch, opened):
         db_dir = spider_layout["db_dir"]
