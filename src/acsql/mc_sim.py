@@ -8,25 +8,26 @@ accept verdict stops the trial, and the z-th generation is emitted with
 no verdict. The estimate is the fraction of trials whose emitted
 candidate was correct, averaged over independent repeats.
 
-Hits are counted by one sweep over iterations 1..z-1 that reads the two
-draws of an iteration only for the trials still looping, and ends once
-none is, so a chunk costs about 1/(1 - A) column pairs, where A is the
-reject probability, rather than z - 1; the same code serves every z,
-z = 1 included.
+Trials are exchangeable, so the sweep keeps no trial's identity: it
+counts the trials still looping and, at each iteration, draws the two
+uniforms of those trials only. It ends once none is looping, so a repeat
+draws about 2/(1 - A) uniforms per trial, where A is the reject
+probability, not 2z - 1; the same code serves every z, z = 1 included.
 
 Determinism contract
 --------------------
 Repeat r uses a PCG64 generator seeded with SeedSequence([seed, r]), a
-pure function of the config. Within a repeat, trial t consumes row t of
-a (trials, 2z-1) uniform matrix laid out per trial iteration as
-(correctness draw, verdict draw, correctness draw, ...). The matrix is
-drawn in row chunks of one stream; PCG64 fills row-major, so the chunks
-are exactly the rows of one big block. A chunk holds at most
-_CHUNK_DRAWS draws (4.9 MiB), so memory depends on neither trials nor z
-until z = 319,488, past which a single row exceeds the cap. Repeats run
-concurrently on a thread pool, and the final mean reduces per-repeat
-estimates in ascending repeat order. Identical configs therefore produce
-bit-identical reports, independent of machine, thread count or process count.
+pure function of the config. Within a repeat, iteration i < z consumes
+the rows of an (n, 2) uniform block, one (correctness draw, verdict draw)
+row for each of the n trials still looping; the z-th generation consumes
+n more uniforms, one correctness draw per trial still looping. Each block
+is drawn in pieces of at most _CHUNK_ROWS rows of one stream; PCG64 fills
+row-major, so the pieces are exactly the rows of the block, and the
+output does not depend on the piece size. Memory per repeat is one piece,
+whatever trials and z are. Repeats run concurrently on a thread pool, and
+the final mean reduces per-repeat estimates in ascending repeat order.
+Identical configs therefore produce bit-identical reports, independent
+of machine, thread count or process count.
 """
 
 import json
@@ -40,13 +41,12 @@ import numpy as np
 from .theory import ACParams, check_int, expected_prob
 
 _MAX_SEED = 2**64
-# Trials per draw. The (rows, 2z-1) draw block is the memory high-water
-# mark: 5 MB at z = 20. On a 2-core Xeon the 48 perfbench model cells take
-# 1.42, 1.43 and 1.46 s at 16k, 32k and 64k rows (medians of 7), 11% more
-# at 8k; a z = 20, 10^6 x 2 run peaks at 10.6 MB here, 21.1 MB at 32k.
+# Rows per piece, which bound a repeat's memory: a z = 20, 10^6 x 2 run
+# peaks at 1.05 MiB traced (2.1 MiB at 32k). On a 2-core Xeon the 48
+# perfbench model cells took 0.50-0.53 s at 16k rows against 0.47-0.49 s at
+# 32k in interleaved runs, 0.73 s at 8k, but in the model benchmark 32k
+# read the same throughput and 1.6 MB more peak RSS.
 _CHUNK_ROWS = 16_384
-# Draws per block: the z = 20 block's, so a larger z draws fewer rows at once.
-_CHUNK_DRAWS = _CHUNK_ROWS * 39
 
 
 @dataclass(frozen=True)
@@ -89,42 +89,31 @@ def _repeat_rng(seed: int, repeat: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, repeat])))
 
 
-def _count_hits(params: ACParams, draws: np.ndarray) -> int:
-    """Number of rows of draws whose emitted candidate is correct.
+def _run_repeat(params: ACParams, trials: int, seed: int, repeat: int) -> float:
+    """Fraction of trials whose emitted candidate is correct, for one repeat.
 
-    One sweep over iterations 1..z-1 that reads only the trials still
-    looping. For each of them, at holds the flat offset of its next
-    correctness draw, so iteration i reads columns 2i-2 and 2i-1 of those
-    rows alone. A trial stops at its first accept and is a hit if that
-    draft was correct; a trial that never stops is a hit if its last
-    column is < p. The looping share shrinks by the reject probability at
-    each step, and the sweep ends once no trial is looping, so the work
-    follows the expected number of verdicts, not z; at z = 1 the loop
-    body never runs.
+    Iteration i < z draws a (correctness, verdict) pair for each of the n
+    trials still looping, as the rows of one (n, 2) block taken in pieces
+    of at most _CHUNK_ROWS rows. A correct accept is a hit, and any accept
+    stops the trial; the rest are counted, not kept. The z-th generation
+    draws n correctness uniforms, and the sweep ends early once n = 0.
     """
     p, q, s = params.p, params.q, params.s
-    flat = draws.ravel()
-    at = np.arange(0, flat.size, draws.shape[1])
-    hits = 0
-    for _ in range(params.z - 1):
-        correct = flat.take(at) < p
-        verdict = flat.take(at + 1)
-        hit = correct & (verdict >= s)
-        hits += np.count_nonzero(hit)
-        at = at[~(hit | (verdict < q) & ~correct)] + 2
-        if not at.size:
-            break
-    return hits + int(np.count_nonzero(flat.take(at) < p))
-
-
-def _run_repeat(params: ACParams, trials: int, seed: int, repeat: int) -> float:
     rng = _repeat_rng(seed, repeat)
-    width = 2 * params.z - 1
-    rows = max(1, min(_CHUNK_ROWS, _CHUNK_DRAWS // width))
-    hits = sum(
-        _count_hits(params, rng.random((min(rows, trials - start), width)))
-        for start in range(0, trials, rows)
-    )
+    looping, hits = trials, 0
+    for _ in range(params.z - 1):
+        stopped = 0
+        for start in range(0, looping, _CHUNK_ROWS):
+            u, verdict = rng.random((min(_CHUNK_ROWS, looping - start), 2)).T
+            correct = u < p
+            hit = np.count_nonzero(correct & (verdict >= s))
+            hits += hit
+            stopped += hit + np.count_nonzero(~correct & (verdict < q))
+        looping -= stopped
+        if not looping:
+            break
+    for start in range(0, looping, _CHUNK_ROWS):
+        hits += np.count_nonzero(rng.random(min(_CHUNK_ROWS, looping - start)) < p)
     return hits / trials
 
 

@@ -120,23 +120,19 @@ def test_json_fields():
 
 
 def _single_block_estimate(params, trials, seed, repeat):
-    """The simulator's reference algorithm: one (trials, 2z-1) block per repeat."""
+    """The simulator's reference algorithm, unpieced: each iteration < z draws
+    one (n, 2) block for the n trials still looping, then z draws n uniforms."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, repeat])))
-    p, q, s, z = params.p, params.q, params.s, params.z
-    draws = rng.random((trials, 2 * z - 1))
-    correct = draws[:, 0::2] < p
-    if z == 1:
-        return float(correct[:, 0].mean())
-    verdicts = draws[:, 1::2]
-    checked = correct[:, : z - 1]
-    accepted = np.where(checked, verdicts >= s, verdicts < q)
-    first_accept = accepted.argmax(axis=1)
-    emitted_correct = np.where(
-        accepted.any(axis=1),
-        checked[np.arange(trials), first_accept],
-        correct[:, z - 1],
-    )
-    return float(emitted_correct.mean())
+    p, q, s = params.p, params.q, params.s
+    looping, hits = trials, 0
+    for _ in range(params.z - 1):
+        draws = rng.random((looping, 2))
+        correct = draws[:, 0] < p
+        accepted = np.where(correct, draws[:, 1] >= s, draws[:, 1] < q)
+        hits += int(np.count_nonzero(correct & accepted))
+        looping -= int(np.count_nonzero(accepted))
+    hits += int(np.count_nonzero(rng.random(looping) < p))
+    return hits / trials
 
 
 @pytest.mark.parametrize("cpus", [None, 1, 3])
@@ -144,8 +140,7 @@ def _single_block_estimate(params, trials, seed, repeat):
 def test_chunked_pool_matches_single_block_bit_for_bit(monkeypatch, z, cpus):
     if cpus is not None:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    # rows per chunk: past z = 20 the draw cap, not _CHUNK_ROWS, sets it
-    chunk = min(mc_sim._CHUNK_ROWS, mc_sim._CHUNK_DRAWS // (2 * z - 1))
+    chunk = mc_sim._CHUNK_ROWS
     params = ACParams(0.37, 0.61, 0.23, z)
     for trials in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
         config = SimulationConfig(params, trials=trials, repeats=3, seed=2024 + z)
@@ -174,6 +169,15 @@ def test_degenerate_cells_match_single_block_bit_for_bit(p, q, s, z):
         assert simulate(config).per_repeat_estimates == expected, trials
 
 
+def test_piece_size_bounds_memory_only(monkeypatch):
+    config = SimulationConfig(ACParams(0.37, 0.61, 0.23, 7), trials=1_000, repeats=3, seed=9)
+    estimates = []
+    for rows in (1, 7, mc_sim._CHUNK_ROWS):
+        monkeypatch.setattr(mc_sim, "_CHUNK_ROWS", rows)
+        estimates.append(simulate(config).per_repeat_estimates)
+    assert estimates[0] == estimates[1] == estimates[2]
+
+
 def test_peak_allocation_does_not_grow_with_trials():
     config = SimulationConfig(ACParams(0.5, 0.3, 0.2, 20), trials=1_000_000, repeats=2, seed=1)
     tracemalloc.start()
@@ -195,7 +199,7 @@ def test_peak_allocation_does_not_grow_with_z():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # A (16384, 799) float64 block would be 100 MiB here.
+    # All 799 uniforms of every trial at once would be 100 MiB here.
     assert peak < 8 * 2**20
 
 
